@@ -88,8 +88,8 @@ fn bench_probes(h: &mut Harness) {
         return; // a recorder cannot be driven when probes compile to nothing
     }
     // Recorder installed: the recording-sink cost per event. The buffer is
-    // drained every batch so memory stays bounded and `take` amortizes out.
-    tele::install();
+    // taken every batch so memory stays bounded and `take` amortizes out.
+    tele::install(true);
     let mut n = 0u32;
     h.bench("probe/recording/begin_end", || {
         tele::begin(tele::Track::Server, "bench", &[]);
@@ -98,7 +98,7 @@ fn bench_probes(h: &mut Harness) {
         if n >= 4096 {
             n = 0;
             black_box(tele::take());
-            tele::install();
+            tele::install(true);
         }
     });
     black_box(tele::take());

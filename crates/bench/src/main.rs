@@ -813,6 +813,24 @@ fn flush_profiles(
     profiles
 }
 
+/// The items that run simulations, in paper order: what `all` means to the
+/// subcommands that replay simulations. `table1`/`table2` run none, and
+/// `table3` prices `fig7`'s runs, so it is not repeated.
+const SIMULATED_ITEMS: &[&str] = &[
+    "fig2",
+    "fig7",
+    "fig8",
+    "fig9",
+    "table4",
+    "fig10",
+    "table5",
+    "gcstats",
+    "shadow",
+    "ablations",
+    "combination",
+    "recovery",
+];
+
 /// Run one item's simulations, discarding its report — the instrumentation
 /// defaults (profiling for `repro top`, tracing for `repro explain`) decide
 /// what the engine records. The list of simulations mirrors the main
@@ -1106,6 +1124,7 @@ fn flush_sentinel(dir: Option<&std::path::Path>, name: &str) -> usize {
 /// (text, or the `SentinelReport` JSON document with `--json`) and exit 1
 /// when any invariant was violated. Scenario labels are prefixed with the
 /// item name, so one report covers several items without collisions.
+/// `all` expands to every item that simulates ([`SIMULATED_ITEMS`]).
 fn run_check(args: &[String]) -> ! {
     if beehive_telemetry::COMPILED_OFF {
         die("`repro check` is unavailable: this binary was built with beehive-telemetry/compile-off");
@@ -1143,6 +1162,13 @@ fn run_check(args: &[String]) -> ! {
     if items.is_empty() {
         die("usage: repro check ITEM... [--quick] [--strict] [--json] [--seed N] [--chaos-seed N]");
     }
+    let items: Vec<&str> = items
+        .iter()
+        .flat_map(|item| match item.as_str() {
+            "all" => SIMULATED_ITEMS.to_vec(),
+            item => vec![item],
+        })
+        .collect();
     beehive_workload::engine::set_trace_default(true);
     let cfg = beehive_sentinel::SentinelConfig {
         strict,

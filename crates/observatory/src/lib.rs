@@ -6,9 +6,9 @@
 //! time-domain property: how long after a burst onset does capacity catch
 //! up? This crate gives the reproduction that time axis.
 //!
-//! [`Observer`] is a streaming reducer that rides the telemetry recorder as
-//! a second consumer (via `beehive_telemetry::visit_from`, exactly like the
-//! sentinel) and folds [`TraceEvent`]s into deterministic fixed-width
+//! [`Observer`] is a streaming reducer that rides the telemetry recorder
+//! next to the sentinel (both are fed from one `beehive_telemetry::drain`
+//! per dispatch) and folds [`TraceEvent`]s into deterministic fixed-width
 //! virtual-time bins:
 //!
 //! * offered vs. served vs. rejected requests per bin,
@@ -261,10 +261,11 @@ struct ReqState {
 /// Streaming reducer folding telemetry events into a [`ScenarioSeries`].
 ///
 /// Feed events in emission order (which is virtual-time order) with
-/// [`Observer::feed`], then call [`Observer::finish`]. The observer is the
-/// second consumer of the shared telemetry recorder: the workload driver
-/// drains the recorder into it incrementally via
-/// `beehive_telemetry::visit_from`, the same discipline as the sentinel.
+/// [`Observer::feed`], then call [`Observer::finish`]. The workload driver
+/// feeds it from `beehive_telemetry::drain` once per dispatched simulation
+/// event, in the same pass that feeds the sentinel. The recorder keeps the
+/// events only when the run also keeps a trace; otherwise each drain
+/// empties it, so observing costs no trace-sized buffer.
 pub struct Observer {
     window_ns: u64,
     out: ScenarioSeries,

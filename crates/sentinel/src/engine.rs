@@ -763,6 +763,8 @@ fn known_instance_event(name: &str, kind: EventKind) -> bool {
     }
     match name {
         "boot" => matches!(kind, EventKind::Begin | EventKind::End),
+        // Function-heap collections, timed by the collector itself.
+        "gc" => matches!(kind, EventKind::Complete(_)),
         "instance:cold_boot"
         | "instance:warm_start"
         | "instance:ready"

@@ -6,8 +6,9 @@
 //! could silently corrupt every downstream report. This crate turns the
 //! telemetry layer into a correctness oracle: a streaming [`Sentinel`]
 //! consumes [`beehive_telemetry::TraceEvent`]s in virtual-time order —
-//! either online during a simulation (a second telemetry consumer fed via
-//! [`beehive_telemetry::visit_from`]) or by replaying a recorded
+//! either online during a simulation (fed from the telemetry recorder's
+//! [`beehive_telemetry::drain`], which keeps the events only when the run
+//! also keeps a trace) or by replaying a recorded
 //! [`beehive_telemetry::Trace`] — and checks typed invariants as events
 //! arrive:
 //!

@@ -345,8 +345,9 @@ fn mutation_unknown_event_is_a_warning_and_a_strict_violation() {
 #[test]
 fn observability_instants_are_known_vocabulary() {
     // The timeline substrate's probes — burst-handler routing, scaled-pool
-    // depth, and arrival-rate step onsets — must pass the strict vocabulary
-    // gate without warnings.
+    // depth, and arrival-rate step onsets — and a function-heap collection
+    // on an instance track must pass the strict vocabulary gate without
+    // warnings.
     let mut events = legal_offload();
     events.push(args(
         ev(560, Track::Server, "burst:route", EventKind::Instant),
@@ -359,6 +360,18 @@ fn observability_instants_are_known_vocabulary() {
     events.push(args(
         ev(562, Track::Sim, "burst:onset", EventKind::Instant),
         &[("mrps_from", Arg::UInt(1000)), ("mrps_to", Arg::UInt(4000))],
+    ));
+    events.push(args(
+        ev(
+            563,
+            Track::Instance(0),
+            "gc",
+            EventKind::Complete(Duration::from_micros(4)),
+        ),
+        &[
+            ("copied_bytes", Arg::UInt(256)),
+            ("freed_bytes", Arg::UInt(1024)),
+        ],
     ));
     let strict = SentinelConfig {
         strict: true,

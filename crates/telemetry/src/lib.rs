@@ -13,6 +13,12 @@
 //! `compile-off` feature removes even that, which is what the
 //! `telemetry` bench compares against.
 //!
+//! Online consumers (the conformance checker, the timeline reducer) read
+//! the buffer through [`drain`], which visits each event exactly once, in
+//! emission order. The buffer is kept only when the recorder was armed to
+//! keep a trace; otherwise every drain clears it, so a run that is checked
+//! or observed but not traced holds just the events of one dispatch.
+//!
 //! Probes never allocate or do work unless a recorder is armed; call sites
 //! that must build argument lists guard with [`enabled`].
 //!
@@ -26,7 +32,7 @@
 //! use beehive_sim::{Duration, SimTime};
 //! use beehive_telemetry as telemetry;
 //!
-//! telemetry::install();
+//! telemetry::install(true);
 //! telemetry::set_now(SimTime::ZERO + Duration::from_millis(3));
 //! telemetry::begin(telemetry::Track::Request(7), "req:server", &[]);
 //! telemetry::set_now(SimTime::ZERO + Duration::from_millis(9));
@@ -162,6 +168,10 @@ pub struct Trace {
 struct Recorder {
     now: SimTime,
     events: Vec<TraceEvent>,
+    /// Keep every event for [`take`]; otherwise [`drain`] clears the buffer.
+    keep: bool,
+    /// Index of the first event no [`drain`] has visited yet.
+    drained: usize,
 }
 
 thread_local! {
@@ -182,8 +192,10 @@ fn with_recorder(f: impl FnOnce(&mut Recorder)) {
 
 /// Arm the recording sink on the current thread (idempotent: re-installing
 /// discards any previous buffer). Until this is called — or after [`take`] —
-/// every probe is a no-op.
-pub fn install() {
+/// every probe is a no-op. With `keep`, [`take`] returns every recorded
+/// event; without it the recorder is a stream that each [`drain`] empties,
+/// and [`take`] returns only what no drain has visited.
+pub fn install(keep: bool) {
     if cfg!(feature = "compile-off") {
         return;
     }
@@ -191,6 +203,8 @@ pub fn install() {
         *r.borrow_mut() = Some(Recorder {
             now: SimTime::ZERO,
             events: Vec::new(),
+            keep,
+            drained: 0,
         });
     });
 }
@@ -206,25 +220,23 @@ pub fn take() -> Option<Trace> {
         .map(|rec| Trace { events: rec.events })
 }
 
-/// Visit the events recorded on this thread since index `from` (a
-/// high-water mark from a previous call; start at 0) and return the new
-/// mark. This is the second-consumer API: an online checker like
-/// `beehive-sentinel` drains new events incrementally between simulation
-/// events without disturbing the recording sink. Returns `from` unchanged
-/// when no recorder is armed.
-pub fn visit_from(from: usize, mut f: impl FnMut(&TraceEvent)) -> usize {
-    if cfg!(feature = "compile-off") {
-        return from;
-    }
-    RECORDER.with(|r| match r.borrow().as_ref() {
-        Some(rec) => {
-            for e in rec.events.iter().skip(from) {
-                f(e);
-            }
-            rec.events.len()
+/// Visit the events recorded on this thread since the previous drain, in
+/// emission order. This is the online-consumer API: the driver drains once
+/// per dispatched simulation event and feeds every consumer from the one
+/// pass. A keeping recorder only advances its drain mark; a streaming one
+/// clears its buffer (keeping the capacity), which bounds its memory by the
+/// events of one dispatch. A no-op when no recorder is armed.
+pub fn drain(mut f: impl FnMut(&TraceEvent)) {
+    with_recorder(|rec| {
+        for e in &rec.events[rec.drained..] {
+            f(e);
         }
-        None => from,
-    })
+        if rec.keep {
+            rec.drained = rec.events.len();
+        } else {
+            rec.events.clear();
+        }
+    });
 }
 
 /// `true` while a recorder is armed on this thread. Call sites that build
@@ -384,7 +396,7 @@ mod tests {
 
     #[test]
     fn recorder_buffers_in_order_with_timestamps() {
-        install();
+        install(true);
         assert!(enabled());
         set_now(SimTime::ZERO + Duration::from_micros(5));
         begin(Track::Request(1), "req:server", &[]);
@@ -406,29 +418,42 @@ mod tests {
     }
 
     #[test]
-    fn visit_from_drains_incrementally_without_disturbing_the_sink() {
-        assert_eq!(visit_from(0, |_| panic!("no recorder, no visits")), 0);
-        install();
+    fn keeping_recorder_returns_every_event_after_drains() {
+        drain(|_| panic!("no recorder, no visits"));
+        install(true);
         instant(Track::Server, "a", &[]);
         instant(Track::Server, "b", &[]);
         let mut seen = Vec::new();
-        let mark = visit_from(0, |e| seen.push(e.name));
-        assert_eq!((mark, seen.as_slice()), (2, &["a", "b"][..]));
+        drain(|e| seen.push(e.name));
         instant(Track::Server, "c", &[]);
+        drain(|e| seen.push(e.name));
+        drain(|_| panic!("nothing new"));
+        assert_eq!(seen, ["a", "b", "c"]);
+        let names: Vec<_> = take().unwrap().events.iter().map(|e| e.name).collect();
+        assert_eq!(names, ["a", "b", "c"]);
+    }
+
+    #[test]
+    fn streaming_recorder_holds_nothing_after_each_drain() {
+        let held = || RECORDER.with(|r| r.borrow().as_ref().map(|rec| rec.events.len()));
+        install(false);
         let mut seen = Vec::new();
-        let mark = visit_from(mark, |e| seen.push(e.name));
-        assert_eq!((mark, seen.as_slice()), (3, &["c"][..]));
-        assert_eq!(visit_from(mark, |_| panic!("nothing new")), 3);
-        // The recorder still holds everything: visiting is read-only.
-        let t = take().unwrap();
-        assert_eq!(t.events.len(), 3);
+        for batch in [&["a", "b"][..], &["c"], &[], &["d", "e", "f"]] {
+            for &name in batch {
+                instant(Track::Server, name, &[]);
+            }
+            drain(|e| seen.push(e.name));
+            assert_eq!(held(), Some(0));
+        }
+        assert_eq!(seen, ["a", "b", "c", "d", "e", "f"]);
+        assert!(take().unwrap().events.is_empty());
     }
 
     #[test]
     fn reinstall_discards_previous_buffer() {
-        install();
+        install(true);
         instant(Track::Server, "a", &[]);
-        install();
+        install(true);
         instant(Track::Server, "b", &[]);
         let t = take().unwrap();
         assert_eq!(t.events.len(), 1);

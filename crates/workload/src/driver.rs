@@ -52,12 +52,12 @@ pub struct Sim {
     cost_model: CostModel,
     obs: Obs,
     acct: Acct,
-    /// The online conformance checker and its cursor into the telemetry
-    /// sink, when [`SimConfig::sentinel`] is set.
-    sentinel: Option<(beehive_sentinel::Sentinel, usize)>,
-    /// The streaming timeline reducer and its own cursor into the same
-    /// telemetry sink, when [`SimConfig::observe`] is set.
-    observatory: Option<(beehive_observatory::Observer, usize)>,
+    /// The online conformance checker, fed from the telemetry drain when
+    /// [`SimConfig::sentinel`] is set.
+    sentinel: Option<beehive_sentinel::Sentinel>,
+    /// The streaming timeline reducer, fed from the same drain when
+    /// [`SimConfig::observe`] is set.
+    observatory: Option<beehive_observatory::Observer>,
     /// Last arrival rate seen (milli-rps), for `burst:onset` edge detection.
     last_mrps: u64,
 }
@@ -139,22 +139,19 @@ impl Sim {
             // Installed here rather than in `new` so the prewarm warm-up
             // shadow (which runs outside virtual time) is not recorded. The
             // online checker and the timeline reducer ride the same recorder
-            // and drain it incrementally on independent cursors; without
-            // `trace` the events are dropped at the end instead of returned.
-            tele::install();
+            // through one drain per dispatch; only `trace` keeps the events,
+            // otherwise each drain empties the buffer.
+            tele::install(self.cfg.trace);
         }
         if self.cfg.sentinel {
             let cfg = beehive_sentinel::SentinelConfig {
                 max_retries: Some(self.broker.chaos.policy.max_retries),
                 ..Default::default()
             };
-            self.sentinel = Some((beehive_sentinel::Sentinel::new(cfg), 0));
+            self.sentinel = Some(beehive_sentinel::Sentinel::new(cfg));
         }
         if self.cfg.observe {
-            self.observatory = Some((
-                beehive_observatory::Observer::new(self.cfg.observe_window),
-                0,
-            ));
+            self.observatory = Some(beehive_observatory::Observer::new(self.cfg.observe_window));
         }
         if self.cfg.profile {
             // Same rationale as the trace recorder: the prewarm warm-up
@@ -207,14 +204,26 @@ impl Sim {
             self.handle(ev);
             self.lifecycle
                 .wake_lock_waiters(self.now, &mut self.server, &mut self.events);
-            if let Some((sentinel, cursor)) = self.sentinel.as_mut() {
-                *cursor = tele::visit_from(*cursor, |e| sentinel.feed(e));
-            }
-            if let Some((observer, cursor)) = self.observatory.as_mut() {
-                *cursor = tele::visit_from(*cursor, |e| observer.feed(e));
-            }
+            self.drain_telemetry();
         }
         self.finish()
+    }
+
+    /// Feed the events recorded since the last drain to the online
+    /// consumers, each exactly once and in emission order.
+    fn drain_telemetry(&mut self) {
+        let (sentinel, observer) = (&mut self.sentinel, &mut self.observatory);
+        if sentinel.is_none() && observer.is_none() {
+            return;
+        }
+        tele::drain(|e| {
+            if let Some(s) = sentinel.as_mut() {
+                s.feed(e);
+            }
+            if let Some(o) = observer.as_mut() {
+                o.feed(e);
+            }
+        });
     }
 
     fn handle(&mut self, ev: Ev) {
@@ -723,7 +732,7 @@ impl Sim {
         }
     }
 
-    fn finish(self) -> SimResult {
+    fn finish(mut self) -> SimResult {
         if std::env::var_os("BEEHIVE_DEBUG_SYNC").is_some() {
             let (stranded, locks) = self.lifecycle.stranded_lock_waiters();
             eprintln!(
@@ -743,25 +752,19 @@ impl Sim {
             None
         };
         let mapping_bytes = self.server.mapping_footprint_bytes();
-        // Drain the tail of the telemetry sink into the checker before
-        // taking (or discarding) the recorder.
-        let sentinel = self.sentinel.map(|(mut sentinel, cursor)| {
-            tele::visit_from(cursor, |e| sentinel.feed(e));
-            // The label is filled in by the engine harvest, which knows the
-            // scenario name; standalone `Sim::run` callers label it
-            // themselves.
-            sentinel.finish(String::new())
-        });
-        let observatory = self.observatory.map(|(mut observer, cursor)| {
-            tele::visit_from(cursor, |e| observer.feed(e));
-            // Blank label, same convention as the sentinel above.
-            observer.finish(String::new())
-        });
+        // Drain the tail of the telemetry sink into the online consumers
+        // before taking (or discarding) the recorder.
+        self.drain_telemetry();
+        // The labels are filled in by the engine harvest, which knows the
+        // scenario name; standalone `Sim::run` callers label them themselves.
+        let sentinel = self.sentinel.map(|s| s.finish(String::new()));
+        let observatory = self.observatory.map(|o| o.finish(String::new()));
         let trace = if self.cfg.trace {
             tele::take()
         } else {
             if self.cfg.sentinel || self.cfg.observe {
-                // The recorder was armed only to feed the online consumers.
+                // The recorder was armed only to feed the online consumers,
+                // and the final drain left it empty.
                 drop(tele::take());
             }
             None

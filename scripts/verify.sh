@@ -32,6 +32,11 @@ cargo build --release --offline --workspace
 echo "==> tier-1: cargo test -q"
 cargo test -q --offline
 
+echo "==> tests: cargo test --workspace"
+# Tier-1 runs only the root facade's tests; the crate-level suites (unit,
+# mutation, determinism and telemetry-drain tests) run here.
+cargo test --workspace --offline -q
+
 echo "==> docs: cargo doc --no-deps --offline"
 # The workspace warns on missing docs; the doc build is the gate that the
 # public API surface (including the new driver layers) stays documented
@@ -129,6 +134,13 @@ for w in 1 2 8; do
   diff -u scripts/golden/check_quick.json "$verify_out/check_quick.json"
 done
 rm -f "$verify_out/check_quick.json"
+
+echo "==> sentinel gate: every simulating item conforms under --strict"
+# `all` expands to every item that runs simulations; strict mode turns
+# unknown event names into violations, so the vocabulary must cover every
+# probe any experiment emits.
+./target/release/repro check all --quick --seed 42 --strict > "$verify_out/check_all.txt"
+rm -f "$verify_out/check_all.txt"
 
 echo "==> golden: repro timeline is byte-stable at any worker count"
 # The elasticity timeline — sparklines, per-bin quantiles and the derived

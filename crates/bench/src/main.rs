@@ -117,7 +117,7 @@
 use beehive_apps::AppKind;
 use beehive_scaling::table1;
 use beehive_sim::json::{Json, ToJson};
-use beehive_workload::engine::RunReport;
+use beehive_workload::engine::{Artifacts, ObsPlan, RunReport, Runner};
 use beehive_workload::experiment::{
     ablation::ablation,
     breakdown::{gc_stats, shadow_breakdown},
@@ -156,9 +156,8 @@ fn main() {
     if args.first().map(String::as_str) == Some("lag") {
         run_lag(&args[1..]);
     }
-    let mut profile = Profile::full();
+    let mut flags = RunFlags::new();
     let mut json = false;
-    let mut chaos_seed: Option<u64> = None;
     let mut trace_dir: Option<std::path::PathBuf> = None;
     let mut metrics_dir: Option<std::path::PathBuf> = None;
     let mut profile_dir: Option<std::path::PathBuf> = None;
@@ -168,22 +167,11 @@ fn main() {
     let mut cmds: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
+        if flags.parse(&a, &mut it) {
+            continue;
+        }
         match a.as_str() {
-            "--quick" => profile.quick = true,
             "--json" => json = true,
-            "--seed" => {
-                profile.seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--chaos-seed" => {
-                chaos_seed = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--chaos-seed needs an integer")),
-                );
-            }
             "--trace" => {
                 trace_dir = Some(dir_value(&mut it, "--trace"));
             }
@@ -264,62 +252,44 @@ fn main() {
         profile_dir.get_or_insert_with(|| dir.clone());
         insight_dir.get_or_insert_with(|| dir.clone());
         sentinel = true;
+    }
+    if profile_dir.is_some() && beehive_profiler::COMPILED_OFF {
+        die("--profile is unavailable: this binary was built with beehive-profiler/compile-off");
+    }
+    if sentinel && (beehive_telemetry::COMPILED_OFF || beehive_sentinel::COMPILED_OFF) {
+        die("--sentinel is unavailable: this binary was built with telemetry or sentinel compile-off");
+    }
+    for dir in [&trace_dir, &insight_dir, &metrics_dir, &profile_dir]
+        .into_iter()
+        .flatten()
+    {
+        std::fs::create_dir_all(dir)
+            .unwrap_or_else(|e| die(&format!("creating {}: {e}", dir.display())));
+    }
+    let mut run = Runner::new(flags.profile);
+    run.plan = ObsPlan {
+        // Attribution reads the recorded trace.
+        trace: trace_dir.is_some() || insight_dir.is_some(),
+        metrics: metrics_dir.is_some(),
+        profile: profile_dir.is_some(),
+        sentinel,
         // The elasticity timeline rides the same recorder: one more
         // consumer, two more artifacts per item.
-        beehive_workload::engine::set_observe_default(true);
-    }
-    if let Some(dir) = &trace_dir {
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| die(&format!("creating {}: {e}", dir.display())));
-        beehive_workload::engine::set_trace_default(true);
-    }
-    if let Some(dir) = &insight_dir {
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| die(&format!("creating {}: {e}", dir.display())));
-        // Attribution reads the recorded trace.
-        beehive_workload::engine::set_trace_default(true);
-    }
-    if let Some(dir) = &metrics_dir {
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| die(&format!("creating {}: {e}", dir.display())));
-        beehive_workload::engine::set_metrics_default(true);
-    }
-    if let Some(dir) = &profile_dir {
-        if beehive_profiler::COMPILED_OFF {
-            die(
-                "--profile is unavailable: this binary was built with beehive-profiler/compile-off",
-            );
-        }
-        std::fs::create_dir_all(dir)
-            .unwrap_or_else(|e| die(&format!("creating {}: {e}", dir.display())));
-        beehive_workload::engine::set_profile_default(true);
-    }
-    if sentinel {
-        if beehive_telemetry::COMPILED_OFF || beehive_sentinel::COMPILED_OFF {
-            die("--sentinel is unavailable: this binary was built with telemetry or sentinel compile-off");
-        }
-        beehive_workload::engine::set_sentinel_default(true);
-    }
+        observe: obs_dir.is_some(),
+        ..ObsPlan::default()
+    };
 
     // One artifact flush per item: profiles feed the trace summary, traces
     // feed both the trace files and the insight document, the online
     // checker's verdicts gate the exit status.
-    let sentinel_violations = std::cell::Cell::new(0usize);
-    let flush = |name: &str| {
-        let profiles = flush_profiles(profile_dir.as_deref(), name);
-        let traces = if trace_dir.is_some() || insight_dir.is_some() {
-            beehive_workload::engine::drain_traces()
-        } else {
-            Vec::new()
-        };
-        flush_traces(trace_dir.as_deref(), name, &traces, &profiles);
-        flush_insight(insight_dir.as_deref(), name, &traces);
-        flush_metrics(metrics_dir.as_deref(), name);
-        flush_timeline(obs_dir.as_deref(), name);
-        if sentinel {
-            let v = flush_sentinel(obs_dir.as_deref(), name);
-            sentinel_violations.set(sentinel_violations.get() + v);
-        }
+    let mut sentinel_violations = 0usize;
+    let mut flush = |name: &str, art: Artifacts| {
+        flush_profiles(profile_dir.as_deref(), name, &art.profiles);
+        flush_traces(trace_dir.as_deref(), name, &art.traces, &art.profiles);
+        flush_insight(insight_dir.as_deref(), name, &art.traces);
+        flush_metrics(metrics_dir.as_deref(), name, art.metrics);
+        flush_timeline(obs_dir.as_deref(), name, art.timelines);
+        sentinel_violations += flush_sentinel(obs_dir.as_deref(), name, art.checks);
     };
 
     let all = cmds.iter().any(|c| c == "all");
@@ -356,14 +326,14 @@ fn main() {
     }
 
     if want("fig2") {
-        let rep = fig2(profile);
+        let rep = fig2(&mut run);
         if json {
             reports.push(RunReport::new("fig2", rep.to_json()));
         } else {
             banner("Figure 2");
             println!("{rep}");
         }
-        flush("fig2");
+        flush("fig2", run.take());
     }
 
     if want("table2") {
@@ -383,7 +353,7 @@ fn main() {
         let mut table3: Vec<(AppKind, Vec<(String, f64)>)> = Vec::new();
         let mut fig7_bodies = Vec::new();
         for kind in apps {
-            let rep = fig7(kind, profile);
+            let rep = fig7(kind, &mut run);
             if json {
                 fig7_bodies.push(rep.to_json());
             } else {
@@ -444,12 +414,12 @@ fn main() {
                 }
             }
         }
-        flush("fig7");
+        flush("fig7", run.take());
     }
 
     if want("fig8") {
         if json {
-            let bodies: Vec<Json> = apps.iter().map(|&k| fig8(k, profile).to_json()).collect();
+            let bodies: Vec<Json> = apps.iter().map(|&k| fig8(k, &mut run).to_json()).collect();
             reports.push(RunReport::new(
                 "fig8",
                 Json::obj([("apps".into(), Json::Arr(bodies))]),
@@ -457,19 +427,19 @@ fn main() {
         } else {
             banner("Figure 8");
             for kind in apps {
-                println!("{}", fig8(kind, profile));
+                println!("{}", fig8(kind, &mut run));
             }
         }
-        flush("fig8");
+        flush("fig8", run.take());
     }
 
     if want("fig9") {
         let mut kinds = vec![AppKind::Pybbs];
-        if !profile.quick {
+        if !run.profile.quick {
             kinds.extend([AppKind::Blog, AppKind::Thumbnail]);
         }
         if json {
-            let bodies: Vec<Json> = kinds.iter().map(|&k| fig9(k, profile).to_json()).collect();
+            let bodies: Vec<Json> = kinds.iter().map(|&k| fig9(k, &mut run).to_json()).collect();
             reports.push(RunReport::new(
                 "fig9",
                 Json::obj([("apps".into(), Json::Arr(bodies))]),
@@ -477,61 +447,61 @@ fn main() {
         } else {
             banner("Figure 9");
             for kind in kinds {
-                println!("{}", fig9(kind, profile));
+                println!("{}", fig9(kind, &mut run));
             }
         }
-        flush("fig9");
+        flush("fig9", run.take());
     }
 
     if want("table4") {
-        let rep = table4(&apps, profile);
+        let rep = table4(&apps, &mut run);
         if json {
             reports.push(RunReport::new("table4", rep.to_json()));
         } else {
             banner("Table 4");
             println!("{rep}");
         }
-        flush("table4");
+        flush("table4", run.take());
     }
 
     if want("fig10") {
-        let rep = fig10(profile);
+        let rep = fig10(&mut run);
         if json {
             reports.push(RunReport::new("fig10", rep.to_json()));
         } else {
             banner("Figure 10");
             println!("{rep}");
         }
-        flush("fig10");
+        flush("fig10", run.take());
     }
 
     if want("table5") {
-        let rep = table5(&apps, profile);
+        let rep = table5(&apps, &mut run);
         if json {
             reports.push(RunReport::new("table5", rep.to_json()));
         } else {
             banner("Table 5");
             println!("{rep}");
         }
-        flush("table5");
+        flush("table5", run.take());
     }
 
     if want("gcstats") {
-        let rep = gc_stats(&apps, profile);
+        let rep = gc_stats(&apps, &mut run);
         if json {
             reports.push(RunReport::new("gcstats", rep.to_json()));
         } else {
             banner("§5.6 — memory consumption and GC");
             println!("{rep}");
         }
-        flush("gcstats");
+        flush("gcstats", run.take());
     }
 
     if want("shadow") {
         if json {
             let bodies: Vec<Json> = apps
                 .iter()
-                .map(|&k| shadow_breakdown(k, profile).to_json())
+                .map(|&k| shadow_breakdown(k, &mut run).to_json())
                 .collect();
             reports.push(RunReport::new(
                 "shadow",
@@ -540,43 +510,43 @@ fn main() {
         } else {
             banner("§5.6 — shadow execution");
             for kind in apps {
-                println!("{}", shadow_breakdown(kind, profile));
+                println!("{}", shadow_breakdown(kind, &mut run));
             }
         }
-        flush("shadow");
+        flush("shadow", run.take());
     }
 
     if want("ablations") {
-        let rep = ablation(AppKind::Pybbs, profile);
+        let rep = ablation(AppKind::Pybbs, &mut run);
         if json {
             reports.push(RunReport::new("ablations", rep.to_json()));
         } else {
             banner("Ablations");
             println!("{rep}");
         }
-        flush("ablations");
+        flush("ablations", run.take());
     }
 
     if want("combination") {
-        let rep = combination(AppKind::Pybbs, profile);
+        let rep = combination(AppKind::Pybbs, &mut run);
         if json {
             reports.push(RunReport::new("combination", rep.to_json()));
         } else {
             banner("§5.7 — combination mode");
             println!("{rep}");
         }
-        flush("combination");
+        flush("combination", run.take());
     }
 
     if want("recovery") {
-        let rep = recovery(AppKind::Pybbs, profile, chaos_seed.unwrap_or(profile.seed));
+        let rep = recovery(AppKind::Pybbs, &mut run, flags.chaos_seed());
         if json {
             reports.push(RunReport::new("recovery", rep.to_json()));
         } else {
             banner("§4.5 — failure recovery under fault injection");
             println!("{rep}");
         }
-        flush("recovery");
+        flush("recovery", run.take());
     }
 
     if json {
@@ -593,11 +563,8 @@ fn main() {
         );
         println!("{}", doc.render());
     }
-    if sentinel_violations.get() > 0 {
-        eprintln!(
-            "sentinel: {} invariant violation(s) detected (see above)",
-            sentinel_violations.get()
-        );
+    if sentinel_violations > 0 {
+        eprintln!("sentinel: {sentinel_violations} invariant violation(s) detected (see above)");
         std::process::exit(1);
     }
 }
@@ -688,7 +655,7 @@ fn list_items() {
     println!("  --sentinel   run the online conformance checker in every simulation (exit 1 on violations)");
 }
 
-/// Write the drained traces as `DIR/<name>.trace.json` (Chrome trace-event
+/// Write the item's traces as `DIR/<name>.trace.json` (Chrome trace-event
 /// format) plus `DIR/<name>.summary.json` (per-request critical-path
 /// summary). When `profiles` holds a call-tree profile for a scenario
 /// label, that scenario's summary gains a `"hottest"` per-lane top-methods
@@ -726,7 +693,7 @@ fn flush_traces(
     );
 }
 
-/// Write the latency-attribution + SLO document for the drained traces as
+/// Write the latency-attribution + SLO document for the item's traces as
 /// `DIR/<name>.insight.json` (the `beehive_insight` JSON shape). No-op
 /// when `--insight` is off or nothing ran.
 fn flush_insight(
@@ -753,24 +720,23 @@ fn flush_insight(
     );
 }
 
-/// Write the call-tree profiles drained from the engine as `DIR/<name>.folded`
+/// Write the item's call-tree profiles as `DIR/<name>.folded`
 /// (Brendan Gregg collapsed stacks — the scenario label, sanitized, is the
 /// first frame of every line, so one file holds every scenario of the item
 /// and feeds flamegraph.pl / inferno unchanged) plus `DIR/<name>.profile.json`
-/// (the full per-lane call trees and per-instance totals). Returns the
-/// drained profiles so the trace summary can embed hottest-method tables.
-/// No-op when profiling is off or nothing ran.
+/// (the full per-lane call trees and per-instance totals). No-op when
+/// profiling is off or nothing ran.
 fn flush_profiles(
     dir: Option<&std::path::Path>,
     name: &str,
-) -> Vec<(String, beehive_profiler::Profile)> {
-    let Some(dir) = dir else { return Vec::new() };
-    let profiles = beehive_workload::engine::drain_profiles();
+    profiles: &[(String, beehive_profiler::Profile)],
+) {
+    let Some(dir) = dir else { return };
     if profiles.is_empty() {
-        return profiles;
+        return;
     }
     let mut folded = String::new();
-    for (label, p) in &profiles {
+    for (label, p) in profiles {
         // Folded frames may not contain the `;` separator or the trailing
         // count's space; scenario labels may.
         let prefix: String = label
@@ -810,7 +776,6 @@ fn flush_profiles(
         profiles.len(),
         json_path.display()
     );
-    profiles
 }
 
 /// The items that run simulations, in paper order: what `all` means to the
@@ -831,60 +796,60 @@ const SIMULATED_ITEMS: &[&str] = &[
     "recovery",
 ];
 
-/// Run one item's simulations, discarding its report — the instrumentation
-/// defaults (profiling for `repro top`, tracing for `repro explain`) decide
-/// what the engine records. The list of simulations mirrors the main
+/// Run one item's simulations through `run`, discarding its report — the
+/// runner's plan (profiling for `repro top`, tracing for `repro explain`)
+/// decides what it keeps. The list of simulations mirrors the main
 /// dispatch (`table1`/`table2` run none and are rejected here).
-fn run_item(item: &str, profile: Profile, chaos_seed: u64) {
+fn run_item(item: &str, run: &mut Runner, chaos_seed: u64) {
     let apps = AppKind::all();
     match item {
         "fig2" => {
-            fig2(profile);
+            fig2(run);
         }
         "fig7" | "table3" => {
             for kind in apps {
-                fig7(kind, profile);
+                fig7(kind, run);
             }
         }
         "fig8" => {
             for kind in apps {
-                fig8(kind, profile);
+                fig8(kind, run);
             }
         }
         "fig9" => {
             let mut kinds = vec![AppKind::Pybbs];
-            if !profile.quick {
+            if !run.profile.quick {
                 kinds.extend([AppKind::Blog, AppKind::Thumbnail]);
             }
             for kind in kinds {
-                fig9(kind, profile);
+                fig9(kind, run);
             }
         }
         "table4" => {
-            table4(&apps, profile);
+            table4(&apps, run);
         }
         "fig10" => {
-            fig10(profile);
+            fig10(run);
         }
         "table5" => {
-            table5(&apps, profile);
+            table5(&apps, run);
         }
         "gcstats" => {
-            gc_stats(&apps, profile);
+            gc_stats(&apps, run);
         }
         "shadow" => {
             for kind in apps {
-                shadow_breakdown(kind, profile);
+                shadow_breakdown(kind, run);
             }
         }
         "ablations" => {
-            ablation(AppKind::Pybbs, profile);
+            ablation(AppKind::Pybbs, run);
         }
         "combination" => {
-            combination(AppKind::Pybbs, profile);
+            combination(AppKind::Pybbs, run);
         }
         "recovery" => {
-            recovery(AppKind::Pybbs, profile, chaos_seed);
+            recovery(AppKind::Pybbs, run, chaos_seed);
         }
         other => die(&format!(
             "item {other:?} runs no simulations (run `repro list`)"
@@ -899,27 +864,15 @@ fn run_top(args: &[String]) -> ! {
     if beehive_profiler::COMPILED_OFF {
         die("`repro top` is unavailable: this binary was built with beehive-profiler/compile-off");
     }
-    let mut profile = Profile::full();
+    let mut flags = RunFlags::new();
     let mut n = 5usize;
-    let mut chaos_seed: Option<u64> = None;
     let mut items: Vec<String> = Vec::new();
     let mut it = args.iter().cloned();
     while let Some(a) = it.next() {
+        if flags.parse(&a, &mut it) {
+            continue;
+        }
         match a.as_str() {
-            "--quick" => profile.quick = true,
-            "--seed" => {
-                profile.seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--chaos-seed" => {
-                chaos_seed = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--chaos-seed needs an integer")),
-                );
-            }
             "--top" => {
                 n = it
                     .next()
@@ -936,9 +889,10 @@ fn run_top(args: &[String]) -> ! {
     let [item] = items.as_slice() else {
         die("usage: repro top ITEM [--quick] [--seed N] [--chaos-seed N] [--top N]");
     };
-    beehive_workload::engine::set_profile_default(true);
-    run_item(item, profile, chaos_seed.unwrap_or(profile.seed));
-    let profiles = beehive_workload::engine::drain_profiles();
+    let mut run = Runner::new(flags.profile);
+    run.plan.profile = true;
+    run_item(item, &mut run, flags.chaos_seed());
+    let profiles = run.take().profiles;
     if profiles.is_empty() {
         die(&format!("item {item:?} produced no profile"));
     }
@@ -975,27 +929,15 @@ fn bp_x(bp: u64) -> String {
 /// component breakdowns. Integer-only formatting keeps the output
 /// byte-identical across worker counts.
 fn run_explain(args: &[String]) -> ! {
-    let mut profile = Profile::full();
-    let mut chaos_seed: Option<u64> = None;
+    let mut flags = RunFlags::new();
     let mut k = beehive_metrics::EXEMPLAR_K;
     let mut items: Vec<String> = Vec::new();
     let mut it = args.iter().cloned();
     while let Some(a) = it.next() {
+        if flags.parse(&a, &mut it) {
+            continue;
+        }
         match a.as_str() {
-            "--quick" => profile.quick = true,
-            "--seed" => {
-                profile.seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--chaos-seed" => {
-                chaos_seed = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--chaos-seed needs an integer")),
-                );
-            }
             "--slowest" => {
                 k = it
                     .next()
@@ -1012,9 +954,10 @@ fn run_explain(args: &[String]) -> ! {
     let [item] = items.as_slice() else {
         die("usage: repro explain ITEM [--quick] [--seed N] [--chaos-seed N] [--slowest N]");
     };
-    beehive_workload::engine::set_trace_default(true);
-    run_item(item, profile, chaos_seed.unwrap_or(profile.seed));
-    let traces = beehive_workload::engine::drain_traces();
+    let mut run = Runner::new(flags.profile);
+    run.plan.trace = true;
+    run_item(item, &mut run, flags.chaos_seed());
+    let traces = run.take().traces;
     if traces.is_empty() {
         die(&format!("item {item:?} produced no trace"));
     }
@@ -1090,12 +1033,15 @@ fn run_explain(args: &[String]) -> ! {
     std::process::exit(0)
 }
 
-/// Drain the engine's online conformance checks and, with `--obs`, write
-/// them as `DIR/<name>.sentinel.json`. Violating scenarios are rendered to
-/// stderr; returns the violation count so `main` can gate the exit status.
-/// No-op when the checker is off or nothing ran.
-fn flush_sentinel(dir: Option<&std::path::Path>, name: &str) -> usize {
-    let checks = beehive_workload::engine::drain_sentinel();
+/// With `--obs`, write the item's online conformance checks as
+/// `DIR/<name>.sentinel.json`. Violating scenarios are rendered to stderr;
+/// returns the violation count so `main` can gate the exit status. No-op
+/// when the checker is off or nothing ran.
+fn flush_sentinel(
+    dir: Option<&std::path::Path>,
+    name: &str,
+    checks: Vec<beehive_sentinel::ScenarioCheck>,
+) -> usize {
     if checks.is_empty() {
         return 0;
     }
@@ -1129,30 +1075,18 @@ fn run_check(args: &[String]) -> ! {
     if beehive_telemetry::COMPILED_OFF {
         die("`repro check` is unavailable: this binary was built with beehive-telemetry/compile-off");
     }
-    let mut profile = Profile::full();
+    let mut flags = RunFlags::new();
     let mut strict = false;
     let mut json = false;
-    let mut chaos_seed: Option<u64> = None;
     let mut items: Vec<String> = Vec::new();
     let mut it = args.iter().cloned();
     while let Some(a) = it.next() {
+        if flags.parse(&a, &mut it) {
+            continue;
+        }
         match a.as_str() {
-            "--quick" => profile.quick = true,
             "--strict" => strict = true,
             "--json" => json = true,
-            "--seed" => {
-                profile.seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--chaos-seed" => {
-                chaos_seed = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--chaos-seed needs an integer")),
-                );
-            }
             other if other.starts_with('-') => {
                 die(&format!("unknown flag {other:?} for `repro check`"))
             }
@@ -1169,7 +1103,8 @@ fn run_check(args: &[String]) -> ! {
             item => vec![item],
         })
         .collect();
-    beehive_workload::engine::set_trace_default(true);
+    let mut run = Runner::new(flags.profile);
+    run.plan.trace = true;
     let cfg = beehive_sentinel::SentinelConfig {
         strict,
         // The experiment drivers all run the default retry policy; pinning
@@ -1179,8 +1114,8 @@ fn run_check(args: &[String]) -> ! {
     };
     let mut scenarios = Vec::new();
     for item in &items {
-        run_item(item, profile, chaos_seed.unwrap_or(profile.seed));
-        let traces = beehive_workload::engine::drain_traces();
+        run_item(item, &mut run, flags.chaos_seed());
+        let traces = run.take().traces;
         if traces.is_empty() {
             die(&format!("item {item:?} produced no trace"));
         }
@@ -1204,12 +1139,15 @@ fn run_check(args: &[String]) -> ! {
     std::process::exit(0)
 }
 
-/// Drain the engine's observatory timelines and, with `--obs`, write them
-/// as `DIR/<name>.timeline.json` plus `DIR/<name>.timeline.svg`. No-op when
+/// With `--obs`, write the item's elasticity timelines as
+/// `DIR/<name>.timeline.json` plus `DIR/<name>.timeline.svg`. No-op when
 /// the observer is off or nothing ran.
-fn flush_timeline(dir: Option<&std::path::Path>, name: &str) {
+fn flush_timeline(
+    dir: Option<&std::path::Path>,
+    name: &str,
+    series: Vec<beehive_observatory::ScenarioSeries>,
+) {
     let Some(dir) = dir else { return };
-    let series = beehive_workload::engine::drain_timelines();
     if series.is_empty() {
         return;
     }
@@ -1237,31 +1175,19 @@ fn run_timeline(args: &[String]) -> ! {
     if beehive_telemetry::COMPILED_OFF {
         die("`repro timeline` is unavailable: this binary was built with beehive-telemetry/compile-off");
     }
-    let mut profile = Profile::full();
-    let mut chaos_seed: Option<u64> = None;
+    let mut flags = RunFlags::new();
     let mut window = beehive_observatory::DEFAULT_WINDOW;
     let mut json = false;
     let mut svg = false;
     let mut items: Vec<String> = Vec::new();
     let mut it = args.iter().cloned();
     while let Some(a) = it.next() {
+        if flags.parse(&a, &mut it) {
+            continue;
+        }
         match a.as_str() {
-            "--quick" => profile.quick = true,
             "--json" => json = true,
             "--svg" => svg = true,
-            "--seed" => {
-                profile.seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
-            }
-            "--chaos-seed" => {
-                chaos_seed = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--chaos-seed needs an integer")),
-                );
-            }
             "--window" => {
                 let ns: u64 = it
                     .next()
@@ -1282,10 +1208,11 @@ fn run_timeline(args: &[String]) -> ! {
     let [item] = items.as_slice() else {
         die("usage: repro timeline ITEM [--quick] [--seed N] [--chaos-seed N] [--window NS] [--json|--svg]");
     };
-    beehive_workload::engine::set_observe_default(true);
-    beehive_workload::engine::set_observe_window(window);
-    run_item(item, profile, chaos_seed.unwrap_or(profile.seed));
-    let series = beehive_workload::engine::drain_timelines();
+    let mut run = Runner::new(flags.profile);
+    run.plan.observe = true;
+    run.plan.observe_window = window;
+    run_item(item, &mut run, flags.chaos_seed());
+    let series = run.take().timelines;
     if series.is_empty() {
         die(&format!("item {item:?} produced no timeline"));
     }
@@ -1361,6 +1288,44 @@ fn run_lag(args: &[String]) -> ! {
     std::process::exit(0)
 }
 
+/// The flags every simulating command shares: `--quick`, `--seed N` and
+/// `--chaos-seed N`.
+struct RunFlags {
+    profile: Profile,
+    chaos_seed: Option<u64>,
+}
+
+impl RunFlags {
+    fn new() -> Self {
+        RunFlags {
+            profile: Profile::full(),
+            chaos_seed: None,
+        }
+    }
+
+    /// Consume `flag` (and its value) when it is one of the shared flags;
+    /// false leaves it to the caller's own flags.
+    fn parse(&mut self, flag: &str, it: &mut impl Iterator<Item = String>) -> bool {
+        let mut int = |flag: &str| -> u64 {
+            it.next()
+                .and_then(|s| s.parse().ok())
+                .unwrap_or_else(|| die(&format!("{flag} needs an integer")))
+        };
+        match flag {
+            "--quick" => self.profile.quick = true,
+            "--seed" => self.profile.seed = int(flag),
+            "--chaos-seed" => self.chaos_seed = Some(int(flag)),
+            _ => return false,
+        }
+        true
+    }
+
+    /// The fault-plan seed: `--chaos-seed`, else the workload seed.
+    fn chaos_seed(&self) -> u64 {
+        self.chaos_seed.unwrap_or(self.profile.seed)
+    }
+}
+
 /// Pull the directory value of `flag` off the argument iterator; a missing
 /// value or one that looks like another flag is a usage error.
 fn dir_value(it: &mut impl Iterator<Item = String>, flag: &str) -> std::path::PathBuf {
@@ -1370,13 +1335,15 @@ fn dir_value(it: &mut impl Iterator<Item = String>, flag: &str) -> std::path::Pa
     }
 }
 
-/// Write the metrics snapshots drained from the engine as
-/// `DIR/<name>.metrics.json` (the `beehive_metrics` JSON shape) plus
-/// `DIR/<name>.prom` (Prometheus text exposition). No-op when metrics are
-/// off or nothing ran.
-fn flush_metrics(dir: Option<&std::path::Path>, name: &str) {
+/// Write the item's metrics snapshots as `DIR/<name>.metrics.json` (the
+/// `beehive_metrics` JSON shape) plus `DIR/<name>.prom` (Prometheus text
+/// exposition). No-op when metrics are off or nothing ran.
+fn flush_metrics(
+    dir: Option<&std::path::Path>,
+    name: &str,
+    scenarios: Vec<beehive_metrics::ScenarioMetrics>,
+) {
     let Some(dir) = dir else { return };
-    let scenarios = beehive_workload::engine::drain_metrics();
     if scenarios.is_empty() {
         return;
     }

@@ -210,3 +210,44 @@ fn obs_writes_every_artifact_family_and_sentinel_gates() {
     let out = repro(&["--quick", "--sentinel", "fig2"]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
 }
+
+#[test]
+fn obs_applies_the_same_plan_as_the_separate_flags() {
+    let base = std::env::temp_dir().join(format!("beehive-obs-plan-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let (a, b) = (base.join("obs"), base.join("flags"));
+    let (a_str, b_str) = (a.to_str().unwrap(), b.to_str().unwrap());
+    let out = repro(&["fig2", "--quick", "--obs", a_str]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let out = repro(&[
+        "fig2",
+        "--quick",
+        "--trace",
+        b_str,
+        "--metrics",
+        b_str,
+        "--profile",
+        b_str,
+        "--insight",
+        b_str,
+        "--sentinel",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    for artifact in [
+        "fig2.trace.json",
+        "fig2.summary.json",
+        "fig2.metrics.json",
+        "fig2.prom",
+        "fig2.folded",
+        "fig2.profile.json",
+        "fig2.insight.json",
+    ] {
+        let via_obs = std::fs::read(a.join(artifact)).expect("--obs wrote the artifact");
+        let via_flags = std::fs::read(b.join(artifact)).expect("the flags wrote the artifact");
+        assert!(
+            via_obs == via_flags,
+            "{artifact} differs between --obs and the separate flags"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}

@@ -371,7 +371,7 @@ impl SentinelReport {
     }
 
     /// Assemble a report from checks harvested out of online runs (e.g.
-    /// `beehive_workload::engine::drain_sentinel`).
+    /// the `checks` of `beehive_workload::engine::Artifacts`).
     pub fn from_checks(strict: bool, scenarios: Vec<ScenarioCheck>) -> SentinelReport {
         SentinelReport { strict, scenarios }
     }

@@ -125,35 +125,26 @@ pub struct SimConfig {
     /// the cold instance and the client waits out the long tail.
     pub shadow_enabled: bool,
     /// Record a virtual-time trace of this run ([`SimResult::trace`]).
-    /// Defaults to the engine-wide flag set by `repro --trace`
-    /// ([`crate::engine::set_trace_default`]).
     pub trace: bool,
     /// Keep a live metrics registry for this run ([`SimResult::metrics`]).
-    /// Defaults to the engine-wide flag set by `repro --metrics`
-    /// ([`crate::engine::set_metrics_default`]). Costs nothing when off.
+    /// Costs nothing when off.
     pub metrics: bool,
     /// Time-series window of the metrics registry (virtual time).
     pub metrics_window: Duration,
     /// Record a per-lane call-tree profile of this run
-    /// ([`SimResult::profile`]). Defaults to the engine-wide flag set by
-    /// `repro --profile` ([`crate::engine::set_profile_default`]).
+    /// ([`SimResult::profile`]).
     pub profile: bool,
     /// Run the online conformance checker alongside this run
-    /// ([`SimResult::sentinel`]). Defaults to the engine-wide flag set by
-    /// `repro --sentinel` ([`crate::engine::set_sentinel_default`]). Arms
-    /// the telemetry recorder even when [`SimConfig::trace`] is off; the
-    /// recorded events are dropped after checking unless `trace` is also
-    /// set.
+    /// ([`SimResult::sentinel`]). Arms the telemetry recorder even when
+    /// [`SimConfig::trace`] is off; the recorded events are dropped after
+    /// checking unless `trace` is also set.
     pub sentinel: bool,
     /// Fold this run's telemetry into a fixed-width elasticity timeline
-    /// ([`SimResult::observatory`]). Defaults to the engine-wide flag set by
-    /// `repro timeline` / `repro --obs`
-    /// ([`crate::engine::set_observe_default`]). Like the sentinel, this
-    /// arms the telemetry recorder even when [`SimConfig::trace`] is off;
-    /// the events are dropped after reduction unless `trace` is also set.
+    /// ([`SimResult::observatory`]). Like the sentinel, this arms the
+    /// telemetry recorder even when [`SimConfig::trace`] is off; the events
+    /// are dropped after reduction unless `trace` is also set.
     pub observe: bool,
-    /// Bin width of the elasticity timeline (virtual time). Defaults to the
-    /// engine-wide value ([`crate::engine::set_observe_window`]).
+    /// Bin width of the elasticity timeline (virtual time).
     pub observe_window: Duration,
     /// Deterministic fault plan (§4.5 failure injection). The default plan
     /// is empty and the run is byte-identical to one without the chaos
@@ -162,7 +153,7 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// A configuration with paper-style defaults.
+    /// A configuration with paper-style defaults and all observation off.
     pub fn new(app: App, strategy: Strategy) -> Self {
         SimConfig {
             app,
@@ -181,13 +172,13 @@ impl SimConfig {
             max_server_concurrency: 256,
             beehive: BeeHiveConfig::default(),
             shadow_enabled: true,
-            trace: crate::engine::trace_default(),
-            metrics: crate::engine::metrics_default(),
+            trace: false,
+            metrics: false,
             metrics_window: beehive_metrics::DEFAULT_WINDOW,
-            profile: crate::engine::profile_default(),
-            sentinel: crate::engine::sentinel_default(),
-            observe: crate::engine::observe_default(),
-            observe_window: crate::engine::observe_window(),
+            profile: false,
+            sentinel: false,
+            observe: false,
+            observe_window: beehive_observatory::DEFAULT_WINDOW,
             faults: FaultPlan::default(),
         }
     }
@@ -255,10 +246,10 @@ pub struct SimResult {
     /// The resolved call-tree profile, when [`SimConfig::profile`] was set.
     pub profile: Option<beehive_profiler::Profile>,
     /// The conformance-check result, when [`SimConfig::sentinel`] was set.
-    /// Its label is blank until [`crate::engine::run_all`] harvests it.
+    /// Its label is blank until [`crate::engine::Artifacts::take`] fills it in.
     pub sentinel: Option<beehive_sentinel::ScenarioCheck>,
     /// The reduced elasticity timeline, when [`SimConfig::observe`] was
-    /// set. Its label is blank until [`crate::engine::run_all`] harvests it.
+    /// set. Its label is blank until [`crate::engine::Artifacts::take`] fills it in.
     pub observatory: Option<beehive_observatory::ScenarioSeries>,
 }
 

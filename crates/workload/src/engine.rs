@@ -11,6 +11,10 @@
 //!   worker pool (capped at available parallelism) and returns
 //!   [`RunOutcome`]s **in input order**, so aggregation code is oblivious
 //!   to scheduling and every report stays bit-identical to a serial run,
+//! * [`Runner`] — what the experiment drivers run through: a [`Profile`],
+//!   an [`ObsPlan`] written onto every scenario, and the labelled
+//!   [`Artifacts`] (traces, metrics, profiles, conformance checks,
+//!   timelines) taken out of each run's outcomes in input order,
 //! * [`RunReport`] — a structured title + JSON body, the machine-readable
 //!   form of a report surfaced by `repro --json`.
 //!
@@ -24,7 +28,8 @@
 //! use beehive_apps::{App, AppKind, Fidelity};
 //! use beehive_sim::Duration;
 //! use beehive_workload::driver::{ArrivalPattern, SimConfig};
-//! use beehive_workload::engine::{run_all, Scenario};
+//! use beehive_workload::engine::{ObsPlan, Runner, Scenario};
+//! use beehive_workload::experiment::Profile;
 //! use beehive_workload::Strategy;
 //!
 //! let app = App::build(AppKind::Thumbnail, Fidelity::Scaled(4096));
@@ -37,227 +42,153 @@
 //!         Scenario::new(format!("rps={rps}"), cfg)
 //!     })
 //!     .collect();
-//! let outcomes = run_all(scenarios);
+//! let mut run = Runner::new(Profile::quick());
+//! run.plan = ObsPlan { metrics: true, ..ObsPlan::default() };
+//! let outcomes = run.run(scenarios);
 //! assert_eq!(outcomes.len(), 2);
 //! assert_eq!(outcomes[0].label, "rps=4");
+//! let artifacts = run.take();
+//! assert_eq!(artifacts.metrics[1].label, "rps=8");
+//! assert!(artifacts.traces.is_empty());
 //! ```
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
 use beehive_sim::json::Json;
+use beehive_sim::Duration;
 use beehive_telemetry::Trace;
 
 use crate::config::{SimConfig, SimResult};
 use crate::driver::Sim;
+use crate::experiment::Profile;
 
-/// Engine-wide default for [`SimConfig::trace`] (`repro --trace` sets it
-/// before building any scenario).
-static TRACE_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Traces harvested from completed runs, in [`run_all`] input order, each
-/// labelled with its scenario label. Drained by [`drain_traces`].
-static COLLECTED_TRACES: Mutex<Vec<(String, Trace)>> = Mutex::new(Vec::new());
-
-/// Engine-wide default for [`SimConfig::metrics`] (`repro --metrics DIR`
-/// sets it before building any scenario).
-static METRICS_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Metrics snapshots harvested from completed runs, in [`run_all`] input
-/// order. Drained by [`drain_metrics`].
-static COLLECTED_METRICS: Mutex<Vec<beehive_metrics::ScenarioMetrics>> = Mutex::new(Vec::new());
-
-/// Engine-wide default for [`SimConfig::profile`] (`repro --profile DIR`
-/// sets it before building any scenario).
-static PROFILE_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Call-tree profiles harvested from completed runs, in [`run_all`] input
-/// order, labelled with their scenario labels. Drained by
-/// [`drain_profiles`].
-static COLLECTED_PROFILES: Mutex<Vec<(String, beehive_profiler::Profile)>> = Mutex::new(Vec::new());
-
-/// Engine-wide default for [`SimConfig::sentinel`] (`repro --sentinel`
-/// sets it before building any scenario).
-static SENTINEL_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Conformance checks harvested from completed runs, in [`run_all`] input
-/// order, labelled with their scenario labels. Drained by
-/// [`drain_sentinel`].
-static COLLECTED_SENTINEL: Mutex<Vec<beehive_sentinel::ScenarioCheck>> = Mutex::new(Vec::new());
-
-/// Engine-wide default for [`SimConfig::observe`] (`repro timeline` and
-/// `repro --obs DIR` set it before building any scenario).
-static OBSERVE_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Engine-wide default bin width for [`SimConfig::observe_window`], in
-/// nanoseconds (`repro timeline --window NS` overrides it).
-static OBSERVE_WINDOW_NS: AtomicU64 = AtomicU64::new(1_000_000_000);
-
-/// Elasticity timelines harvested from completed runs, in [`run_all`] input
-/// order, labelled with their scenario labels. Drained by
-/// [`drain_timelines`].
-static COLLECTED_TIMELINES: Mutex<Vec<beehive_observatory::ScenarioSeries>> =
-    Mutex::new(Vec::new());
-
-/// Set the engine-wide default for [`SimConfig::trace`]. Scenarios built
-/// *after* this call record traces; [`run_all`] harvests them in input
-/// order for [`drain_traces`].
-pub fn set_trace_default(on: bool) {
-    TRACE_DEFAULT.store(on, Ordering::Relaxed);
+/// What every simulation of a [`Runner`] observes: the five
+/// [`SimConfig`] observation flags plus the timeline bin width. The
+/// default observes nothing, like [`SimConfig::new`].
+#[derive(Clone, Copy, Debug)]
+pub struct ObsPlan {
+    /// Record traces ([`SimConfig::trace`]).
+    pub trace: bool,
+    /// Keep live metrics registries ([`SimConfig::metrics`]).
+    pub metrics: bool,
+    /// Record call-tree profiles ([`SimConfig::profile`]).
+    pub profile: bool,
+    /// Run the online conformance checker ([`SimConfig::sentinel`]).
+    pub sentinel: bool,
+    /// Fold elasticity timelines ([`SimConfig::observe`]).
+    pub observe: bool,
+    /// Timeline bin width ([`SimConfig::observe_window`]).
+    pub observe_window: Duration,
 }
 
-/// The engine-wide default for [`SimConfig::trace`].
-pub fn trace_default() -> bool {
-    TRACE_DEFAULT.load(Ordering::Relaxed)
-}
-
-/// Take every trace harvested since the last drain, in the input order of
-/// the [`run_all`] calls that produced them. Order is independent of the
-/// worker count, so exports are byte-identical under any `BEEHIVE_WORKERS`.
-pub fn drain_traces() -> Vec<(String, Trace)> {
-    std::mem::take(&mut *COLLECTED_TRACES.lock().unwrap())
-}
-
-fn harvest_traces(outcomes: &mut [RunOutcome]) {
-    let mut collected = COLLECTED_TRACES.lock().unwrap();
-    for o in outcomes.iter_mut() {
-        if let Some(trace) = o.result.trace.take() {
-            collected.push((o.label.clone(), trace));
+impl Default for ObsPlan {
+    fn default() -> Self {
+        ObsPlan {
+            trace: false,
+            metrics: false,
+            profile: false,
+            sentinel: false,
+            observe: false,
+            observe_window: beehive_observatory::DEFAULT_WINDOW,
         }
     }
 }
 
-/// Set the engine-wide default for [`SimConfig::metrics`]. Scenarios built
-/// *after* this call keep a live metrics registry; [`run_all`] harvests the
-/// snapshots in input order for [`drain_metrics`].
-pub fn set_metrics_default(on: bool) {
-    METRICS_DEFAULT.store(on, Ordering::Relaxed);
+impl ObsPlan {
+    /// Write this plan onto `cfg`'s observation fields.
+    fn apply(&self, cfg: &mut SimConfig) {
+        cfg.trace = self.trace;
+        cfg.metrics = self.metrics;
+        cfg.profile = self.profile;
+        cfg.sentinel = self.sentinel;
+        cfg.observe = self.observe;
+        cfg.observe_window = self.observe_window;
+    }
 }
 
-/// The engine-wide default for [`SimConfig::metrics`].
-pub fn metrics_default() -> bool {
-    METRICS_DEFAULT.load(Ordering::Relaxed)
-}
-
-/// Take every metrics snapshot harvested since the last drain, in the input
-/// order of the [`run_all`] calls that produced them. Order is independent
-/// of the worker count, so exported `.metrics.json` files are
+/// The observation artifacts of a batch of runs, each labelled with its
+/// scenario label and kept in input order — so exports built from them are
 /// byte-identical under any `BEEHIVE_WORKERS`.
-pub fn drain_metrics() -> Vec<beehive_metrics::ScenarioMetrics> {
-    std::mem::take(&mut *COLLECTED_METRICS.lock().unwrap())
+#[derive(Debug, Default)]
+pub struct Artifacts {
+    /// Recorded traces.
+    pub traces: Vec<(String, Trace)>,
+    /// Metrics snapshots.
+    pub metrics: Vec<beehive_metrics::ScenarioMetrics>,
+    /// Call-tree profiles.
+    pub profiles: Vec<(String, beehive_profiler::Profile)>,
+    /// Online conformance checks.
+    pub checks: Vec<beehive_sentinel::ScenarioCheck>,
+    /// Elasticity timelines.
+    pub timelines: Vec<beehive_observatory::ScenarioSeries>,
 }
 
-fn harvest_metrics(outcomes: &mut [RunOutcome]) {
-    let mut collected = COLLECTED_METRICS.lock().unwrap();
-    for o in outcomes.iter_mut() {
-        if let Some(reg) = o.result.metrics.take() {
-            collected.push(reg.snapshot(&o.label));
+impl Artifacts {
+    /// Move every artifact out of `outcomes` and append it, labelled with
+    /// its scenario label, in outcome order.
+    pub fn take(&mut self, outcomes: &mut [RunOutcome]) {
+        for o in outcomes {
+            let r = &mut o.result;
+            if let Some(trace) = r.trace.take() {
+                self.traces.push((o.label.clone(), trace));
+            }
+            if let Some(reg) = r.metrics.take() {
+                self.metrics.push(reg.snapshot(&o.label));
+            }
+            if let Some(profile) = r.profile.take() {
+                self.profiles.push((o.label.clone(), profile));
+            }
+            if let Some(mut check) = r.sentinel.take() {
+                check.label = o.label.clone();
+                self.checks.push(check);
+            }
+            if let Some(mut series) = r.observatory.take() {
+                series.label = o.label.clone();
+                self.timelines.push(series);
+            }
         }
     }
 }
 
-/// Set the engine-wide default for [`SimConfig::profile`]. Scenarios built
-/// *after* this call record call-tree profiles; [`run_all`] harvests them in
-/// input order for [`drain_profiles`].
-pub fn set_profile_default(on: bool) {
-    PROFILE_DEFAULT.store(on, Ordering::Relaxed);
+/// The experiment drivers' handle on the engine: the [`Profile`] they size
+/// their grids from, the [`ObsPlan`] every run observes, and the
+/// [`Artifacts`] harvested since the last [`take`](Self::take).
+#[derive(Debug)]
+pub struct Runner {
+    /// Experiment scale and seed.
+    pub profile: Profile,
+    /// Observation applied to every scenario [`run`](Self::run) executes.
+    pub plan: ObsPlan,
+    artifacts: Artifacts,
 }
 
-/// The engine-wide default for [`SimConfig::profile`].
-pub fn profile_default() -> bool {
-    PROFILE_DEFAULT.load(Ordering::Relaxed)
-}
-
-/// Take every call-tree profile harvested since the last drain, in the
-/// input order of the [`run_all`] calls that produced them. Order is
-/// independent of the worker count, so exported `.folded` /
-/// `.profile.json` files are byte-identical under any `BEEHIVE_WORKERS`.
-pub fn drain_profiles() -> Vec<(String, beehive_profiler::Profile)> {
-    std::mem::take(&mut *COLLECTED_PROFILES.lock().unwrap())
-}
-
-fn harvest_profiles(outcomes: &mut [RunOutcome]) {
-    let mut collected = COLLECTED_PROFILES.lock().unwrap();
-    for o in outcomes.iter_mut() {
-        if let Some(profile) = o.result.profile.take() {
-            collected.push((o.label.clone(), profile));
+impl Runner {
+    /// A runner at `profile` that observes nothing.
+    pub fn new(profile: Profile) -> Self {
+        Runner {
+            profile,
+            plan: ObsPlan::default(),
+            artifacts: Artifacts::default(),
         }
     }
-}
 
-/// Set the engine-wide default for [`SimConfig::sentinel`]. Scenarios built
-/// *after* this call run the online conformance checker; [`run_all`]
-/// harvests the per-scenario results in input order for [`drain_sentinel`].
-pub fn set_sentinel_default(on: bool) {
-    SENTINEL_DEFAULT.store(on, Ordering::Relaxed);
-}
-
-/// The engine-wide default for [`SimConfig::sentinel`].
-pub fn sentinel_default() -> bool {
-    SENTINEL_DEFAULT.load(Ordering::Relaxed)
-}
-
-/// Take every conformance check harvested since the last drain, in the
-/// input order of the [`run_all`] calls that produced them. Order is
-/// independent of the worker count, so the assembled
-/// [`beehive_sentinel::SentinelReport`] is byte-identical under any
-/// `BEEHIVE_WORKERS`.
-pub fn drain_sentinel() -> Vec<beehive_sentinel::ScenarioCheck> {
-    std::mem::take(&mut *COLLECTED_SENTINEL.lock().unwrap())
-}
-
-fn harvest_sentinel(outcomes: &mut [RunOutcome]) {
-    let mut collected = COLLECTED_SENTINEL.lock().unwrap();
-    for o in outcomes.iter_mut() {
-        if let Some(mut check) = o.result.sentinel.take() {
-            check.label = o.label.clone();
-            collected.push(check);
+    /// Apply the plan to every scenario, run them all (see
+    /// [`run_all`]) and keep their artifacts; the returned outcomes hold
+    /// none.
+    pub fn run(&mut self, mut scenarios: Vec<Scenario>) -> Vec<RunOutcome> {
+        for s in &mut scenarios {
+            self.plan.apply(&mut s.cfg);
         }
+        let mut outcomes = run_all(scenarios);
+        self.artifacts.take(&mut outcomes);
+        outcomes
     }
-}
 
-/// Set the engine-wide default for [`SimConfig::observe`]. Scenarios built
-/// *after* this call reduce their telemetry into elasticity timelines;
-/// [`run_all`] harvests the per-scenario series in input order for
-/// [`drain_timelines`].
-pub fn set_observe_default(on: bool) {
-    OBSERVE_DEFAULT.store(on, Ordering::Relaxed);
-}
-
-/// The engine-wide default for [`SimConfig::observe`].
-pub fn observe_default() -> bool {
-    OBSERVE_DEFAULT.load(Ordering::Relaxed)
-}
-
-/// Set the engine-wide default timeline bin width
-/// ([`SimConfig::observe_window`]); zero-width windows are clamped to 1 ns
-/// by the reducer.
-pub fn set_observe_window(window: beehive_sim::Duration) {
-    OBSERVE_WINDOW_NS.store(window.as_nanos(), Ordering::Relaxed);
-}
-
-/// The engine-wide default timeline bin width.
-pub fn observe_window() -> beehive_sim::Duration {
-    beehive_sim::Duration::from_nanos(OBSERVE_WINDOW_NS.load(Ordering::Relaxed))
-}
-
-/// Take every elasticity timeline harvested since the last drain, in the
-/// input order of the [`run_all`] calls that produced them. Order is
-/// independent of the worker count, so the assembled
-/// [`beehive_observatory::TimelineDoc`] is byte-identical under any
-/// `BEEHIVE_WORKERS`.
-pub fn drain_timelines() -> Vec<beehive_observatory::ScenarioSeries> {
-    std::mem::take(&mut *COLLECTED_TIMELINES.lock().unwrap())
-}
-
-fn harvest_timelines(outcomes: &mut [RunOutcome]) {
-    let mut collected = COLLECTED_TIMELINES.lock().unwrap();
-    for o in outcomes.iter_mut() {
-        if let Some(mut series) = o.result.observatory.take() {
-            series.label = o.label.clone();
-            collected.push(series);
-        }
+    /// Hand over every artifact kept since the last call.
+    pub fn take(&mut self) -> Artifacts {
+        std::mem::take(&mut self.artifacts)
     }
 }
 
@@ -326,6 +257,8 @@ pub fn default_workers() -> usize {
 /// Each simulation is seeded from its own `SimConfig` and runs on its own
 /// virtual clock, so results are identical whatever the worker count or
 /// scheduling interleaving — parallelism changes wall-clock time only.
+/// Observation artifacts stay on the outcomes ([`Artifacts::take`]
+/// collects them).
 pub fn run_all(scenarios: Vec<Scenario>) -> Vec<RunOutcome> {
     run_all_with_workers(scenarios, default_workers())
 }
@@ -335,19 +268,13 @@ pub fn run_all(scenarios: Vec<Scenario>) -> Vec<RunOutcome> {
 pub fn run_all_with_workers(scenarios: Vec<Scenario>, workers: usize) -> Vec<RunOutcome> {
     let workers = workers.min(scenarios.len()).max(1);
     if workers <= 1 {
-        let mut outcomes: Vec<RunOutcome> = scenarios
+        return scenarios
             .into_iter()
             .map(|s| RunOutcome {
                 label: s.label,
                 result: Sim::new(s.cfg).run(),
             })
             .collect();
-        harvest_traces(&mut outcomes);
-        harvest_metrics(&mut outcomes);
-        harvest_profiles(&mut outcomes);
-        harvest_sentinel(&mut outcomes);
-        harvest_timelines(&mut outcomes);
-        return outcomes;
     }
 
     // Work-stealing by atomic index: each worker claims the next unstarted
@@ -380,7 +307,7 @@ pub fn run_all_with_workers(scenarios: Vec<Scenario>, workers: usize) -> Vec<Run
         }
     });
 
-    let mut outcomes: Vec<RunOutcome> = labels
+    labels
         .into_iter()
         .zip(slots)
         .map(|(label, slot)| RunOutcome {
@@ -390,13 +317,7 @@ pub fn run_all_with_workers(scenarios: Vec<Scenario>, workers: usize) -> Vec<Run
                 .unwrap()
                 .expect("worker pool exited with an unfilled slot"),
         })
-        .collect();
-    harvest_traces(&mut outcomes);
-    harvest_metrics(&mut outcomes);
-    harvest_profiles(&mut outcomes);
-    harvest_sentinel(&mut outcomes);
-    harvest_timelines(&mut outcomes);
-    outcomes
+        .collect()
 }
 
 /// A structured experiment report: a title plus a JSON body.
@@ -527,5 +448,114 @@ mod tests {
     fn run_report_renders_title_and_body() {
         let r = RunReport::new("t", Json::obj([("x".into(), Json::Int(1))]));
         assert_eq!(r.render(), r#"{"title":"t","body":{"x":1}}"#);
+    }
+
+    fn observe_all() -> ObsPlan {
+        ObsPlan {
+            trace: true,
+            metrics: true,
+            profile: true,
+            sentinel: true,
+            observe: true,
+            observe_window: Duration::from_millis(500),
+        }
+    }
+
+    /// The labels of every artifact family, in stored order.
+    fn labels(art: &Artifacts) -> [Vec<String>; 5] {
+        [
+            art.traces.iter().map(|(l, _)| l.clone()).collect(),
+            art.metrics.iter().map(|m| m.label.clone()).collect(),
+            art.profiles.iter().map(|(l, _)| l.clone()).collect(),
+            art.checks.iter().map(|c| c.label.clone()).collect(),
+            art.timelines.iter().map(|s| s.label.clone()).collect(),
+        ]
+    }
+
+    fn holds_no_artifact(o: &RunOutcome) -> bool {
+        let r = &o.result;
+        r.trace.is_none()
+            && r.metrics.is_none()
+            && r.profile.is_none()
+            && r.sentinel.is_none()
+            && r.observatory.is_none()
+    }
+
+    #[test]
+    fn runner_plan_reaches_every_scenario() {
+        let mut run = Runner::new(Profile::quick());
+        run.plan = observe_all();
+        let mut scenarios = tiny_scenarios(3);
+        for s in &mut scenarios {
+            s.cfg.observe_window = Duration::from_secs(9);
+        }
+        run.run(scenarios);
+        let art = run.take();
+        for family in labels(&art) {
+            assert_eq!(family, ["s0", "s1", "s2"]);
+        }
+        assert!(labels(&run.take()).iter().all(Vec::is_empty));
+        assert!(art.timelines.iter().all(|s| s.window_ns == 500_000_000));
+
+        // The plan also switches off what a config asked for.
+        let mut scenarios = tiny_scenarios(2);
+        for s in &mut scenarios {
+            observe_all().apply(&mut s.cfg);
+        }
+        run.plan = ObsPlan::default();
+        let outcomes = run.run(scenarios);
+        assert!(outcomes.iter().all(holds_no_artifact));
+        assert!(labels(&run.take()).iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn artifacts_are_labelled_in_input_order() {
+        for workers in [1, 3] {
+            let mut scenarios = tiny_scenarios(4);
+            for s in &mut scenarios {
+                observe_all().apply(&mut s.cfg);
+            }
+            let mut outcomes = run_all_with_workers(scenarios, workers);
+            let mut art = Artifacts::default();
+            art.take(&mut outcomes);
+            assert!(outcomes.iter().all(holds_no_artifact));
+            for family in labels(&art) {
+                assert_eq!(family, ["s0", "s1", "s2", "s3"], "{workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_runners_keep_their_own_artifacts() {
+        let prefixed = |p: &str| {
+            let mut scenarios = tiny_scenarios(3);
+            for s in &mut scenarios {
+                s.label = format!("{p}{}", s.label);
+            }
+            scenarios
+        };
+        // Both runners start each batch together, so their runs overlap.
+        let barrier = std::sync::Barrier::new(2);
+        thread::scope(|scope| {
+            let handles = ["a", "b"].map(|p| {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let mut run = Runner::new(Profile::quick());
+                    run.plan = observe_all();
+                    for _ in 0..2 {
+                        barrier.wait();
+                        run.run(prefixed(p));
+                    }
+                    (p, run.take())
+                })
+            });
+            for h in handles {
+                let (p, art) = h.join().unwrap();
+                let want: Vec<String> = (0..6).map(|i| format!("{p}s{}", i % 3)).collect();
+                for family in labels(&art) {
+                    assert_eq!(family, want);
+                }
+            }
+        });
     }
 }

@@ -11,10 +11,10 @@ use beehive_sim::json::{Json, ToJson};
 use beehive_sim::Duration;
 
 use crate::driver::{ArrivalPattern, SimConfig};
-use crate::engine::{run_all, Scenario};
+use crate::engine::{Runner, Scenario};
 use crate::strategy::Strategy;
 
-use super::{base_rate, Profile};
+use super::base_rate;
 
 /// One ablation configuration's steady-state metrics.
 #[derive(Clone, Debug)]
@@ -41,10 +41,10 @@ pub struct AblationReport {
 }
 
 /// Run the ablations on `kind` (BeeHiveO, steady state, half offloaded).
-pub fn ablation(kind: AppKind, profile: Profile) -> AblationReport {
+pub fn ablation(kind: AppKind, run: &mut Runner) -> AblationReport {
     let app = App::build(kind, Fidelity::fast());
     let rate = base_rate(&app);
-    let (horizon, record_from) = if profile.quick {
+    let (horizon, record_from) = if run.profile.quick {
         (Duration::from_secs(18), Duration::from_secs(9))
     } else {
         (Duration::from_secs(40), Duration::from_secs(18))
@@ -54,7 +54,7 @@ pub fn ablation(kind: AppKind, profile: Profile) -> AblationReport {
         cfg.arrivals = ArrivalPattern::constant(rate);
         cfg.horizon = horizon;
         cfg.record_from = record_from;
-        cfg.seed = profile.seed;
+        cfg.seed = run.profile.seed;
         cfg.offload_ratio = 0.5;
         cfg.engage_at = Duration::ZERO;
         cfg.beehive = beehive;
@@ -76,7 +76,7 @@ pub fn ablation(kind: AppKind, profile: Profile) -> AblationReport {
         .collect();
     let rows = labels
         .iter()
-        .zip(run_all(scenarios))
+        .zip(run.run(scenarios))
         .map(|(&label, mut o)| {
             let n = o.result.steady_offload_count.max(1) as f64;
             AblationRow {
@@ -145,10 +145,11 @@ impl fmt::Display for AblationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Profile;
 
     #[test]
     fn removing_optimizations_brings_fallbacks_back() {
-        let r = ablation(AppKind::Pybbs, Profile::quick());
+        let r = ablation(AppKind::Pybbs, &mut Runner::new(Profile::quick()));
         let full = &r.rows[0];
         let no_pack = &r.rows[1];
         let no_proxy = &r.rows[2];

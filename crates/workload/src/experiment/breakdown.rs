@@ -9,10 +9,8 @@ use beehive_sim::stats::LatencySampler;
 use beehive_sim::Duration;
 
 use crate::driver::{ArrivalPattern, SimConfig};
-use crate::engine::{run_all, Scenario};
+use crate::engine::{Runner, Scenario};
 use crate::strategy::Strategy;
-
-use super::Profile;
 
 /// GC and memory metrics of one application's function instances (§5.6).
 #[derive(Clone, Debug)]
@@ -40,23 +38,23 @@ pub struct GcStatsReport {
 /// fully-offloaded run per application, concentrated on two instances so
 /// each serves enough requests to collect. Full profile runs at full
 /// fidelity (the exact per-request churn); quick mode scales it by 4.
-pub fn gc_stats(apps: &[AppKind], profile: Profile) -> GcStatsReport {
+pub fn gc_stats(apps: &[AppKind], run: &mut Runner) -> GcStatsReport {
     let scenarios = apps
         .iter()
         .map(|&kind| {
-            let fidelity = if profile.quick {
+            let fidelity = if run.profile.quick {
                 Fidelity::Scaled(4)
             } else {
                 Fidelity::Full
             };
             let app = App::build(kind, fidelity);
             let mut cfg = SimConfig::new(app, Strategy::BeeHiveOpenWhisk);
-            cfg.arrivals = ArrivalPattern::constant(if profile.quick { 3.0 } else { 4.0 });
-            cfg.horizon = Duration::from_secs(if profile.quick { 8 } else { 12 });
+            cfg.arrivals = ArrivalPattern::constant(if run.profile.quick { 3.0 } else { 4.0 });
+            cfg.horizon = Duration::from_secs(if run.profile.quick { 8 } else { 12 });
             cfg.record_from = Duration::ZERO;
             cfg.offload_ratio = 1.0;
             cfg.engage_at = Duration::ZERO;
-            cfg.seed = profile.seed;
+            cfg.seed = run.profile.seed;
             cfg.prewarm_ready = 2;
             cfg.max_instances = 2;
             cfg.max_concurrent_boots = 2;
@@ -65,7 +63,7 @@ pub fn gc_stats(apps: &[AppKind], profile: Profile) -> GcStatsReport {
         .collect();
     let rows = apps
         .iter()
-        .zip(run_all(scenarios))
+        .zip(run.run(scenarios))
         .map(|(&kind, o)| {
             let r = o.result;
             let mut pauses = LatencySampler::new();
@@ -164,8 +162,8 @@ impl ShadowReport {
 }
 
 /// Run the shadow breakdown for one application.
-pub fn shadow_breakdown(kind: AppKind, profile: Profile) -> ShadowReport {
-    let (horizon, burst_at) = if profile.quick {
+pub fn shadow_breakdown(kind: AppKind, run: &mut Runner) -> ShadowReport {
+    let (horizon, burst_at) = if run.profile.quick {
         (30u64, 8u64)
     } else {
         (120, 40)
@@ -182,11 +180,11 @@ pub fn shadow_breakdown(kind: AppKind, profile: Profile) -> ShadowReport {
         };
         cfg.horizon = Duration::from_secs(horizon);
         cfg.engage_at = Duration::from_secs(burst_at);
-        cfg.seed = profile.seed;
+        cfg.seed = run.profile.seed;
         cfg.shadow_enabled = shadow;
         cfg
     };
-    let mut outcomes = run_all(vec![
+    let mut outcomes = run.run(vec![
         Scenario::new(format!("{} shadow", kind.name()), configure(true)),
         Scenario::new(format!("{} no-shadow", kind.name()), configure(false)),
     ]);
@@ -268,10 +266,11 @@ impl fmt::Display for ShadowReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Profile;
 
     #[test]
     fn gc_pauses_are_millisecond_scale() {
-        let r = gc_stats(&[AppKind::Pybbs], Profile::quick());
+        let r = gc_stats(&[AppKind::Pybbs], &mut Runner::new(Profile::quick()));
         let row = &r.rows[0];
         assert!(row.collections > 0, "churn must trigger GCs");
         assert!(
@@ -285,7 +284,7 @@ mod tests {
 
     #[test]
     fn shadowing_reduces_worst_case_latency() {
-        let r = shadow_breakdown(AppKind::Pybbs, Profile::quick());
+        let r = shadow_breakdown(AppKind::Pybbs, &mut Runner::new(Profile::quick()));
         assert!(r.shadows > 0);
         assert!(r.mean_duration_ms > 500.0, "shadow hides a cold boot");
         assert!(

@@ -10,11 +10,10 @@ use beehive_apps::AppKind;
 use beehive_scaling::ScalingKind;
 use beehive_sim::json::{Json, ToJson};
 
-use crate::engine::{run_all, Scenario};
+use crate::engine::{Runner, Scenario};
 use crate::strategy::Strategy;
 
 use super::fig7::{BurstExperiment, BurstReport};
-use super::Profile;
 
 /// Comparison of pure strategies against the §5.7 combination.
 #[derive(Debug)]
@@ -30,8 +29,8 @@ pub struct CombinationReport {
 }
 
 /// Run the §5.7 combination study (all three burst windows concurrently).
-pub fn combination(kind: AppKind, profile: Profile) -> CombinationReport {
-    let (horizon, burst_at) = if profile.quick {
+pub fn combination(kind: AppKind, run: &mut Runner) -> CombinationReport {
+    let (horizon, burst_at) = if run.profile.quick {
         (60u64, 10u64)
     } else {
         (240, 60)
@@ -46,10 +45,10 @@ pub fn combination(kind: AppKind, profile: Profile) -> CombinationReport {
         BurstExperiment::new(kind, s)
             .horizon_secs(horizon)
             .burst_at_secs(burst_at)
-            .seed(profile.seed)
+            .seed(run.profile.seed)
     })
     .collect();
-    let outcomes = run_all(
+    let outcomes = run.run(
         experiments
             .iter()
             .map(|e| Scenario::new(e.strategy().label(), e.config()))
@@ -111,10 +110,11 @@ impl fmt::Display for CombinationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Profile;
 
     #[test]
     fn combination_reacts_fast_and_costs_less_than_pure_beehive() {
-        let r = combination(AppKind::Pybbs, Profile::quick());
+        let r = combination(AppKind::Pybbs, &mut Runner::new(Profile::quick()));
         // The combination reacts as fast as BeeHive (seconds, not the ~60+ s
         // of on-demand provisioning).
         let combined_stab = r.combined.stabilization_secs.expect("stabilizes");

@@ -8,10 +8,8 @@ use beehive_sim::json::{Json, ToJson};
 use beehive_sim::Duration;
 
 use crate::driver::{ArrivalPattern, SimConfig};
-use crate::engine::{run_all, Scenario};
+use crate::engine::{Runner, Scenario};
 use crate::strategy::Strategy;
-
-use super::Profile;
 
 /// One point of Figure 2.
 #[derive(Clone, Copy, Debug)]
@@ -34,14 +32,14 @@ pub struct Fig2Report {
 }
 
 /// Run Figure 2: vanilla pybbs under increasing closed-loop client counts.
-pub fn fig2(profile: Profile) -> Fig2Report {
+pub fn fig2(run: &mut Runner) -> Fig2Report {
     let app = App::build(AppKind::Pybbs, Fidelity::fast());
-    let counts: &[usize] = if profile.quick {
+    let counts: &[usize] = if run.profile.quick {
         &[1, 8, 32]
     } else {
         &[1, 2, 4, 8, 16, 24, 32, 48, 64, 96]
     };
-    let horizon = if profile.quick {
+    let horizon = if run.profile.quick {
         Duration::from_secs(10)
     } else {
         Duration::from_secs(25)
@@ -55,14 +53,14 @@ pub fn fig2(profile: Profile) -> Fig2Report {
             cfg.arrivals = ArrivalPattern::Closed { clients };
             cfg.horizon = horizon;
             cfg.record_from = record_from;
-            cfg.seed = profile.seed;
+            cfg.seed = run.profile.seed;
             Scenario::new(format!("clients={clients}"), cfg)
         })
         .collect();
     let window = (horizon - record_from).as_secs_f64();
     let points = counts
         .iter()
-        .zip(run_all(scenarios))
+        .zip(run.run(scenarios))
         .map(|(&clients, mut o)| Fig2Point {
             clients,
             mean_ms: o.result.steady.mean().as_millis_f64(),
@@ -115,10 +113,11 @@ impl fmt::Display for Fig2Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Profile;
 
     #[test]
     fn latency_rises_with_clients() {
-        let r = fig2(Profile::quick());
+        let r = fig2(&mut Runner::new(Profile::quick()));
         assert_eq!(r.points.len(), 3);
         let first = &r.points[0];
         let last = &r.points[r.points.len() - 1];

@@ -9,10 +9,10 @@ use beehive_sim::stats::{median, percentile_sorted, TimelinePoint};
 use beehive_sim::Duration;
 
 use crate::driver::{ArrivalPattern, Sim, SimConfig, SimResult};
-use crate::engine::{run_all, Scenario};
+use crate::engine::{Runner, Scenario};
 use crate::strategy::Strategy;
 
-use super::{base_rate, Profile};
+use super::base_rate;
 
 /// A single burst run, configurable step by step (also the quickstart entry
 /// point of the facade crate).
@@ -90,7 +90,7 @@ impl BurstExperiment {
 
     /// The [`SimConfig`] this experiment describes (the engine-facing half
     /// of [`run`](Self::run): build configs here, fan them out through
-    /// [`run_all`], aggregate with [`report`](Self::report)).
+    /// [`Runner::run`], aggregate with [`report`](Self::report)).
     pub fn config(&self) -> SimConfig {
         let app = App::build(self.kind, self.fidelity);
         let rate = self.base_rps.unwrap_or_else(|| base_rate(&app));
@@ -294,13 +294,17 @@ pub struct Fig7Report {
 /// All seven burst windows (five strategies plus the two warm-boot BeeHive
 /// runs) are independent simulations and fan out through the parallel
 /// engine.
-pub fn fig7(kind: AppKind, profile: Profile) -> Fig7Report {
-    let (horizon, burst_at) = if profile.quick { (40, 12) } else { (180, 60) };
+pub fn fig7(kind: AppKind, run: &mut Runner) -> Fig7Report {
+    let (horizon, burst_at) = if run.profile.quick {
+        (40, 12)
+    } else {
+        (180, 60)
+    };
     let experiment = |strategy: Strategy, warm: bool| {
         BurstExperiment::new(kind, strategy)
             .horizon_secs(horizon)
             .burst_at_secs(burst_at)
-            .seed(profile.seed)
+            .seed(run.profile.seed)
             .warm_boot(warm)
     };
     let experiments: Vec<BurstExperiment> = Strategy::fig7_set()
@@ -315,7 +319,7 @@ pub fn fig7(kind: AppKind, profile: Profile) -> Fig7Report {
     // strategies already in the grid, and harvested traces/metrics key
     // scenarios by label.
     let cold_count = Strategy::fig7_set().len();
-    let outcomes = run_all(
+    let outcomes = run.run(
         experiments
             .iter()
             .enumerate()
@@ -390,6 +394,7 @@ impl fmt::Display for Fig7Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Profile;
 
     #[test]
     fn burstable_stays_stable_and_beehive_stabilizes() {

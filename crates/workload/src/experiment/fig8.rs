@@ -9,10 +9,10 @@ use beehive_sim::json::{Json, ToJson};
 use beehive_sim::Duration;
 
 use crate::driver::{ArrivalPattern, SimConfig};
-use crate::engine::{run_all, Scenario};
+use crate::engine::{Runner, Scenario};
 use crate::strategy::Strategy;
 
-use super::{vanilla_capacity, Profile};
+use super::vanilla_capacity;
 
 /// One measured point.
 #[derive(Clone, Copy, Debug)]
@@ -77,10 +77,10 @@ impl Fig8Report {
 }
 
 /// Run the Figure 8 throughput sweep for `kind`.
-pub fn fig8(kind: AppKind, profile: Profile) -> Fig8Report {
+pub fn fig8(kind: AppKind, run: &mut Runner) -> Fig8Report {
     let app = App::build(kind, Fidelity::fast());
     let cap = vanilla_capacity(&app);
-    let (horizon, record_from) = if profile.quick {
+    let (horizon, record_from) = if run.profile.quick {
         (Duration::from_secs(16), Duration::from_secs(8))
     } else {
         (Duration::from_secs(40), Duration::from_secs(15))
@@ -90,7 +90,7 @@ pub fn fig8(kind: AppKind, profile: Profile) -> Fig8Report {
         .iter()
         .map(|m| m * cap)
         .collect();
-    let offload_grid: Vec<f64> = if profile.quick {
+    let offload_grid: Vec<f64> = if run.profile.quick {
         [0.5, 2.0, 5.0].iter().map(|m| m * cap).collect()
     } else {
         [0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0, 9.0, 10.0]
@@ -119,7 +119,7 @@ pub fn fig8(kind: AppKind, profile: Profile) -> Fig8Report {
             cfg.arrivals = ArrivalPattern::constant(rate);
             cfg.horizon = horizon;
             cfg.record_from = record_from;
-            cfg.seed = profile.seed;
+            cfg.seed = run.profile.seed;
             cfg.engage_at = Duration::ZERO;
             // Offload just enough to keep the server under ~30% of its
             // capacity in full requests; the rest of the server goes to
@@ -145,7 +145,7 @@ pub fn fig8(kind: AppKind, profile: Profile) -> Fig8Report {
         .collect();
     let window = (horizon - record_from).as_secs_f64();
     let mut curves: Vec<Fig8Curve> = Vec::new();
-    for ((strategy, rate), mut o) in plan.into_iter().zip(run_all(scenarios)) {
+    for ((strategy, rate), mut o) in plan.into_iter().zip(run.run(scenarios)) {
         let point = Fig8Point {
             offered_rps: rate,
             achieved_rps: o.result.steady.len() as f64 / window,
@@ -225,10 +225,11 @@ impl fmt::Display for Fig8Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Profile;
 
     #[test]
     fn offloading_scales_throughput_beyond_vanilla() {
-        let r = fig8(AppKind::Pybbs, Profile::quick());
+        let r = fig8(AppKind::Pybbs, &mut Runner::new(Profile::quick()));
         let vanilla = r
             .curve(Strategy::Vanilla)
             .saturated_rps()
@@ -281,7 +282,7 @@ mod tests {
 
     #[test]
     fn single_mode_close_to_vanilla() {
-        let r = fig8(AppKind::Pybbs, Profile::quick());
+        let r = fig8(AppKind::Pybbs, &mut Runner::new(Profile::quick()));
         let vanilla = r.curve(Strategy::Vanilla);
         let single = r.curve(Strategy::BeeHiveSingle);
         // The barrier overhead costs a few percent at matching load points.

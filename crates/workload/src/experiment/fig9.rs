@@ -15,10 +15,10 @@ use beehive_sim::json::{Json, ToJson};
 use beehive_sim::Duration;
 
 use crate::driver::{ArrivalPattern, SimConfig};
-use crate::engine::{run_all, Scenario};
+use crate::engine::{Runner, Scenario};
 use crate::strategy::Strategy;
 
-use super::{base_rate, Profile};
+use super::base_rate;
 
 /// Cost curve of one strategy.
 #[derive(Clone, Debug)]
@@ -70,13 +70,13 @@ impl Fig9Report {
 }
 
 /// Run Figure 9 for `kind`.
-pub fn fig9(kind: AppKind, profile: Profile) -> Fig9Report {
-    let ratios: Vec<f64> = if profile.quick {
+pub fn fig9(kind: AppKind, run: &mut Runner) -> Fig9Report {
+    let ratios: Vec<f64> = if run.profile.quick {
         vec![0.1, 0.3, 0.67]
     } else {
         vec![0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.67, 0.8, 1.0]
     };
-    let (horizon, record_from) = if profile.quick {
+    let (horizon, record_from) = if run.profile.quick {
         (24u64, 10u64)
     } else {
         (60, 20)
@@ -93,13 +93,13 @@ pub fn fig9(kind: AppKind, profile: Profile) -> Fig9Report {
         cfg.arrivals = ArrivalPattern::constant(rate);
         cfg.horizon = Duration::from_secs(horizon);
         cfg.record_from = Duration::from_secs(record_from);
-        cfg.seed = profile.seed;
+        cfg.seed = run.profile.seed;
         cfg.offload_ratio = 1.0; // the scaled capacity takes the burst share
         cfg.engage_at = Duration::ZERO;
         cfg.prewarm_ready = ((rate * 0.25).ceil() as usize).clamp(1, 64);
         cfg
     };
-    let mut outcomes = run_all(vec![
+    let mut outcomes = run.run(vec![
         Scenario::new(
             format!("{} BeeHiveO", kind.name()),
             measure_cfg(Strategy::BeeHiveOpenWhisk),
@@ -239,10 +239,11 @@ impl fmt::Display for Fig9Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Profile;
 
     #[test]
     fn cost_crossovers_match_the_paper_shape() {
-        let r = fig9(AppKind::Pybbs, Profile::quick());
+        let r = fig9(AppKind::Pybbs, &mut Runner::new(Profile::quick()));
         let burstable = r.curve("Burstable");
         let lambda = r.curve("BeeHiveL");
         // At a 10% burst ratio, BeeHive on Lambda is several times cheaper

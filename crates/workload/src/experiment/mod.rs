@@ -16,9 +16,11 @@
 //! | §5.7 combination mode | [`combination::combination`] |
 //! | §4.5 failure recovery | [`recovery::recovery`] |
 //!
-//! Every driver takes a [`Profile`] selecting full (paper-scale) or quick
-//! (CI/bench-scale) horizons and a seed; all results are deterministic for a
-//! given profile.
+//! Every driver runs its simulations through a
+//! [`Runner`](crate::engine::Runner): its [`Profile`] selects full
+//! (paper-scale) or quick (CI/bench-scale) horizons and a seed, its
+//! [`ObsPlan`](crate::engine::ObsPlan) what each run records. All results
+//! are deterministic for a given profile.
 
 pub mod ablation;
 pub mod breakdown;
@@ -42,7 +44,8 @@ use beehive_apps::App;
 pub struct Profile {
     /// RNG seed.
     pub seed: u64,
-    /// Quick mode: shorter horizons for CI and Criterion benches.
+    /// Quick mode: shorter horizons for CI, the tests and the self-timed
+    /// benches.
     pub quick: bool,
 }
 

@@ -19,10 +19,10 @@ use beehive_sim::json::{Json, ToJson};
 use beehive_sim::Duration;
 
 use crate::driver::{ArrivalPattern, SimConfig};
-use crate::engine::{run_all, Scenario};
+use crate::engine::{Runner, Scenario};
 use crate::strategy::Strategy;
 
-use super::{base_rate, Profile};
+use super::base_rate;
 
 /// One crash-rate operating point.
 #[derive(Clone, Debug)]
@@ -82,14 +82,14 @@ fn ms(d: Duration) -> f64 {
 }
 
 /// Run the recovery sweep for `kind`. `chaos_seed` keys every scenario's
-/// fault plan (`--chaos-seed`); the workload seed comes from `profile`.
-pub fn recovery(kind: AppKind, profile: Profile, chaos_seed: u64) -> RecoveryReport {
-    let rates: Vec<f64> = if profile.quick {
+/// fault plan (`--chaos-seed`); the workload seed comes from `run.profile`.
+pub fn recovery(kind: AppKind, run: &mut Runner, chaos_seed: u64) -> RecoveryReport {
+    let rates: Vec<f64> = if run.profile.quick {
         vec![0.0, 0.5, 2.0]
     } else {
         vec![0.0, 0.25, 0.5, 1.0, 2.0, 4.0]
     };
-    let (horizon, record_from) = if profile.quick {
+    let (horizon, record_from) = if run.profile.quick {
         (24u64, 8u64)
     } else {
         (60, 20)
@@ -105,7 +105,7 @@ pub fn recovery(kind: AppKind, profile: Profile, chaos_seed: u64) -> RecoveryRep
             cfg.arrivals = ArrivalPattern::constant(rate);
             cfg.horizon = Duration::from_secs(horizon);
             cfg.record_from = Duration::from_secs(record_from);
-            cfg.seed = profile.seed;
+            cfg.seed = run.profile.seed;
             cfg.offload_ratio = 1.0;
             cfg.engage_at = Duration::ZERO;
             cfg.prewarm_ready = ((rate * 0.25).ceil() as usize).clamp(1, 64);
@@ -148,7 +148,7 @@ pub fn recovery(kind: AppKind, profile: Profile, chaos_seed: u64) -> RecoveryRep
         })
         .collect();
 
-    let outcomes = run_all(scenarios);
+    let outcomes = run.run(scenarios);
     let rows = outcomes
         .into_iter()
         .zip(&rates)
@@ -255,10 +255,11 @@ impl fmt::Display for RecoveryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Profile;
 
     #[test]
     fn zero_rate_is_inert_and_crashes_recover() {
-        let r = recovery(AppKind::Pybbs, Profile::quick(), 42);
+        let r = recovery(AppKind::Pybbs, &mut Runner::new(Profile::quick()), 42);
         let clean = r.at(0.0);
         assert_eq!(
             (

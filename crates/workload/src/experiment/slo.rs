@@ -17,7 +17,7 @@ use beehive_sim::json::{Json, ToJson};
 use beehive_sim::Duration;
 
 use crate::driver::{ArrivalPattern, SimConfig};
-use crate::engine::{run_all, RunOutcome, Scenario};
+use crate::engine::{RunOutcome, Runner, Scenario};
 use crate::strategy::Strategy;
 
 use super::{vanilla_capacity, Profile};
@@ -79,8 +79,8 @@ pub struct Table4Report {
 ///
 /// The whole apps × (vanilla + two strategies × ratio grid) matrix is one
 /// flat scenario list through the parallel engine.
-pub fn table4(apps: &[AppKind], profile: Profile) -> Table4Report {
-    let grid = ratio_grid(profile);
+pub fn table4(apps: &[AppKind], run: &mut Runner) -> Table4Report {
+    let grid = ratio_grid(run.profile);
     let per_app = 1 + 2 * grid.len();
     let mut scenarios = Vec::new();
     let mut rates = Vec::new();
@@ -90,18 +90,18 @@ pub fn table4(apps: &[AppKind], profile: Profile) -> Table4Report {
         rates.push(rate);
         scenarios.push(Scenario::new(
             format!("{} vanilla", kind.name()),
-            cfg_at(&app, Strategy::Vanilla, rate, 0.0, profile),
+            cfg_at(&app, Strategy::Vanilla, rate, 0.0, run.profile),
         ));
         for s in [Strategy::BeeHiveOpenWhisk, Strategy::BeeHiveLambda] {
             for &r in grid {
                 scenarios.push(Scenario::new(
                     format!("{} {} ratio={r}", kind.name(), s.label()),
-                    cfg_at(&app, s, rate, r, profile),
+                    cfg_at(&app, s, rate, r, run.profile),
                 ));
             }
         }
     }
-    let mut outcomes = run_all(scenarios);
+    let mut outcomes = run.run(scenarios);
     let rows = apps
         .iter()
         .zip(rates)
@@ -193,10 +193,10 @@ pub struct Fig10Report {
 }
 
 /// Run Figure 10 on the blog application.
-pub fn fig10(profile: Profile) -> Fig10Report {
+pub fn fig10(run: &mut Runner) -> Fig10Report {
     let app = App::build(AppKind::Blog, Fidelity::fast());
     let rate = 0.15 * vanilla_capacity(&app);
-    let slos: &[f64] = if profile.quick {
+    let slos: &[f64] = if run.profile.quick {
         &[55.0, 95.0]
     } else {
         &[30.0, 40.0, 50.0, 60.0, 80.0, 100.0]
@@ -204,20 +204,20 @@ pub fn fig10(profile: Profile) -> Fig10Report {
 
     // Pre-compute each strategy's p99 across the ratio grid once, all
     // configurations concurrently.
-    let grid = ratio_grid(profile);
+    let grid = ratio_grid(run.profile);
     let mut scenarios = vec![Scenario::new(
         "vanilla",
-        cfg_at(&app, Strategy::Vanilla, rate, 0.0, profile),
+        cfg_at(&app, Strategy::Vanilla, rate, 0.0, run.profile),
     )];
     for s in [Strategy::BeeHiveOpenWhisk, Strategy::BeeHiveLambda] {
         for &r in grid {
             scenarios.push(Scenario::new(
                 format!("{} ratio={r}", s.label()),
-                cfg_at(&app, s, rate, r, profile),
+                cfg_at(&app, s, rate, r, run.profile),
             ));
         }
     }
-    let mut outcomes = run_all(scenarios);
+    let mut outcomes = run.run(scenarios);
     let mut p99s = outcomes.iter_mut().map(p99_of);
     let vanilla: Vec<f64> = p99s.by_ref().take(1).collect();
     let bo: Vec<f64> = p99s.by_ref().take(grid.len()).collect();
@@ -313,7 +313,7 @@ mod tests {
 
     #[test]
     fn beehive_overhead_over_vanilla_is_bounded() {
-        let t = table4(&[AppKind::Blog], Profile::quick());
+        let t = table4(&[AppKind::Blog], &mut Runner::new(Profile::quick()));
         let row = &t.rows[0];
         assert!(row.vanilla_ms > 0.0);
         // BeeHive adds overhead but stays the same order of magnitude
@@ -336,7 +336,7 @@ mod tests {
 
     #[test]
     fn strict_slos_favor_vanilla() {
-        let r = fig10(Profile::quick());
+        let r = fig10(&mut Runner::new(Profile::quick()));
         // Loose SLOs everyone meets.
         let last = r.points.len() - 1;
         assert!(r.meets(last, "Vanilla"));

@@ -8,10 +8,10 @@ use beehive_sim::json::{Json, ToJson};
 use beehive_sim::Duration;
 
 use crate::driver::{ArrivalPattern, SimConfig};
-use crate::engine::{run_all, Scenario};
+use crate::engine::{Runner, Scenario};
 use crate::strategy::Strategy;
 
-use super::{base_rate, Profile};
+use super::base_rate;
 
 /// Per-application fallback metrics (averages per invocation).
 #[derive(Clone, Debug)]
@@ -44,13 +44,13 @@ pub struct Table5Report {
 
 /// Run Table 5 for the given applications on the OpenWhisk deployment (one
 /// concurrent simulation per application).
-pub fn table5(apps: &[AppKind], profile: Profile) -> Table5Report {
+pub fn table5(apps: &[AppKind], run: &mut Runner) -> Table5Report {
     let scenarios = apps
         .iter()
         .map(|&kind| {
             let app = App::build(kind, Fidelity::fast());
             let rate = base_rate(&app);
-            let (horizon, record_from) = if profile.quick {
+            let (horizon, record_from) = if run.profile.quick {
                 (Duration::from_secs(20), Duration::from_secs(10))
             } else {
                 (Duration::from_secs(45), Duration::from_secs(20))
@@ -59,7 +59,7 @@ pub fn table5(apps: &[AppKind], profile: Profile) -> Table5Report {
             cfg.arrivals = ArrivalPattern::constant(rate);
             cfg.horizon = horizon;
             cfg.record_from = record_from;
-            cfg.seed = profile.seed;
+            cfg.seed = run.profile.seed;
             cfg.offload_ratio = 0.5;
             cfg.engage_at = Duration::ZERO;
             Scenario::new(kind.name(), cfg)
@@ -67,7 +67,7 @@ pub fn table5(apps: &[AppKind], profile: Profile) -> Table5Report {
         .collect();
     let columns = apps
         .iter()
-        .zip(run_all(scenarios))
+        .zip(run.run(scenarios))
         .map(|(&kind, o)| {
             let r = o.result;
             let n = r.steady_offload_count.max(1) as f64;
@@ -154,10 +154,11 @@ impl fmt::Display for Table5Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::Profile;
 
     #[test]
     fn steady_state_is_sync_only_and_shadow_fetches_a_lot() {
-        let t = table5(&[AppKind::Pybbs], Profile::quick());
+        let t = table5(&[AppKind::Pybbs], &mut Runner::new(Profile::quick()));
         let c = &t.columns[0];
         // Steady state: no remote fetching, only sync fallbacks remain
         // (Table 5: 0 fetches, 7 sync fallbacks for pybbs).

@@ -10,7 +10,7 @@ use beehive_insight::{attribute, diagnose, Component, InsightDoc, SloPolicy};
 use beehive_metrics::{compare, MetricsSnapshot, DEFAULT_WINDOW, EXEMPLAR_K};
 use beehive_telemetry::Trace;
 use beehive_workload::config::SimConfig;
-use beehive_workload::engine::{drain_metrics, drain_traces, run_all_with_workers, Scenario};
+use beehive_workload::engine::{run_all_with_workers, Artifacts, Scenario};
 use beehive_workload::experiment::fig7::BurstExperiment;
 use beehive_workload::Strategy;
 
@@ -48,17 +48,17 @@ fn matrix() -> Vec<Scenario> {
 /// live metrics snapshot.
 fn run_matrix(workers: usize) -> (Vec<(String, Trace)>, MetricsSnapshot) {
     let n = matrix().len();
-    let outcomes = run_all_with_workers(matrix(), workers);
+    let mut outcomes = run_all_with_workers(matrix(), workers);
     assert_eq!(outcomes.len(), n);
-    let traces = drain_traces();
-    assert_eq!(traces.len(), n, "every scenario must yield a trace");
-    let scenarios = drain_metrics();
-    assert_eq!(scenarios.len(), n, "every scenario must yield metrics");
+    let mut art = Artifacts::default();
+    art.take(&mut outcomes);
+    assert_eq!(art.traces.len(), n, "every scenario must yield a trace");
+    assert_eq!(art.metrics.len(), n, "every scenario must yield metrics");
     (
-        traces,
+        art.traces,
         MetricsSnapshot {
             window: DEFAULT_WINDOW,
-            scenarios,
+            scenarios: art.metrics,
         },
     )
 }
@@ -147,13 +147,15 @@ fn boot_posture(shadow: bool, prewarm_ready: usize) -> (Vec<(String, Trace)>, Me
     cfg.engage_at = beehive_sim::Duration::ZERO;
     cfg.server_cores = 64.0;
     cfg.max_server_concurrency = 1024;
-    let outcomes = run_all_with_workers(vec![Scenario::new("burst", cfg)], 1);
+    let mut outcomes = run_all_with_workers(vec![Scenario::new("burst", cfg)], 1);
     assert_eq!(outcomes.len(), 1);
+    let mut art = Artifacts::default();
+    art.take(&mut outcomes);
     (
-        drain_traces(),
+        art.traces,
         MetricsSnapshot {
             window: DEFAULT_WINDOW,
-            scenarios: drain_metrics(),
+            scenarios: art.metrics,
         },
     )
 }

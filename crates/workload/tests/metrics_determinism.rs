@@ -7,8 +7,8 @@
 use beehive_apps::AppKind;
 use beehive_metrics::{reduce, MetricsSnapshot, DEFAULT_WINDOW};
 use beehive_telemetry::Trace;
-use beehive_workload::engine::{drain_metrics, drain_traces, run_all_with_workers, Scenario};
-use beehive_workload::experiment::fig7::BurstExperiment;
+use beehive_workload::engine::{run_all_with_workers, Artifacts, Runner, Scenario};
+use beehive_workload::experiment::{fig7::BurstExperiment, Profile};
 use beehive_workload::Strategy;
 
 /// Run two traced+metered burst experiments at the given worker count and
@@ -27,20 +27,22 @@ fn snapshot_at(workers: usize) -> (MetricsSnapshot, Vec<(String, Trace)>) {
             Scenario::new(e.strategy().label(), cfg)
         })
         .collect();
-    let outcomes = run_all_with_workers(scenarios, workers);
+    let mut outcomes = run_all_with_workers(scenarios, workers);
     assert_eq!(outcomes.len(), 2);
-    // The engine harvests both exports out of the results, in input order.
-    assert!(outcomes.iter().all(|o| o.result.metrics.is_none()));
-    let traces = drain_traces();
-    assert_eq!(traces.len(), 2, "both scenarios must yield a trace");
-    let scenarios = drain_metrics();
-    assert_eq!(scenarios.len(), 2, "both scenarios must yield metrics");
+    // `Artifacts::take` moves both exports out of the results, in input order.
+    let mut art = Artifacts::default();
+    art.take(&mut outcomes);
+    assert!(outcomes
+        .iter()
+        .all(|o| o.result.metrics.is_none() && o.result.trace.is_none()));
+    assert_eq!(art.traces.len(), 2, "both scenarios must yield a trace");
+    assert_eq!(art.metrics.len(), 2, "both scenarios must yield metrics");
     (
         MetricsSnapshot {
             window: DEFAULT_WINDOW,
-            scenarios,
+            scenarios: art.metrics,
         },
-        traces,
+        art.traces,
     )
 }
 
@@ -104,14 +106,15 @@ fn shadow_disabled_reduction_diverges_only_in_request_latency() {
     cfg.trace = true;
     cfg.metrics = true;
     cfg.shadow_enabled = false;
-    let outcomes = run_all_with_workers(vec![Scenario::new("no_shadow", cfg)], 1);
+    let mut outcomes = run_all_with_workers(vec![Scenario::new("no_shadow", cfg)], 1);
     assert_eq!(outcomes.len(), 1);
-    let traces = drain_traces();
+    let mut art = Artifacts::default();
+    art.take(&mut outcomes);
     let snap = MetricsSnapshot {
         window: DEFAULT_WINDOW,
-        scenarios: drain_metrics(),
+        scenarios: art.metrics,
     };
-    let reduced = reduce(&traces, DEFAULT_WINDOW);
+    let reduced = reduce(&art.traces, DEFAULT_WINDOW);
 
     let live = &snap.scenarios[0];
     let red = &reduced.scenarios[0];
@@ -152,8 +155,13 @@ fn unmetered_runs_leave_no_metrics_behind() {
     let mut cfg = e.config();
     cfg.trace = false;
     cfg.metrics = false;
-    // No drain assertion here: the determinism test shares this binary's
-    // collection statics and may be mid-run on another thread.
-    let outcomes = run_all_with_workers(vec![Scenario::new("unmetered", cfg)], 1);
+    let outcomes = run_all_with_workers(vec![Scenario::new("unmetered", cfg.clone())], 1);
     assert!(outcomes[0].result.metrics.is_none());
+    // A runner whose plan leaves metrics off keeps none, even for a config
+    // that asked for them.
+    cfg.metrics = true;
+    let mut run = Runner::new(Profile::quick());
+    run.run(vec![Scenario::new("unmetered", cfg)]);
+    let art = run.take();
+    assert!(art.metrics.is_empty() && art.traces.is_empty());
 }

@@ -7,7 +7,7 @@
 
 use beehive_apps::AppKind;
 use beehive_profiler::{parse_folded, Profile};
-use beehive_workload::engine::{drain_profiles, run_all_with_workers, Scenario};
+use beehive_workload::engine::{run_all_with_workers, Artifacts, Scenario};
 use beehive_workload::experiment::fig7::BurstExperiment;
 use beehive_workload::Strategy;
 
@@ -26,11 +26,13 @@ fn profiles_at(workers: usize) -> Vec<(String, Profile)> {
             Scenario::new(e.strategy().label(), cfg)
         })
         .collect();
-    let outcomes = run_all_with_workers(scenarios, workers);
+    let mut outcomes = run_all_with_workers(scenarios, workers);
     assert_eq!(outcomes.len(), 2);
-    // The engine harvests the profiles out of the results, in input order.
+    // `Artifacts::take` moves the profiles out of the results, in input order.
+    let mut art = Artifacts::default();
+    art.take(&mut outcomes);
     assert!(outcomes.iter().all(|o| o.result.profile.is_none()));
-    let profiles = drain_profiles();
+    let profiles = art.profiles;
     assert_eq!(profiles.len(), 2, "both scenarios must yield a profile");
     profiles
 }

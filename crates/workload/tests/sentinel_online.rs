@@ -8,7 +8,7 @@ use beehive_sentinel::{ScenarioCheck, SentinelReport};
 use beehive_sim::json::Json;
 use beehive_sim::Duration;
 use beehive_workload::driver::{ArrivalPattern, Sim, SimConfig};
-use beehive_workload::engine::{drain_sentinel, run_all_with_workers, Scenario};
+use beehive_workload::engine::{run_all_with_workers, Artifacts, Scenario};
 use beehive_workload::experiment::fig7::BurstExperiment;
 use beehive_workload::Strategy;
 
@@ -60,11 +60,12 @@ fn checks_at(workers: usize) -> Vec<ScenarioCheck> {
         cfg.faults = plan;
         Scenario::new("recovery", cfg)
     };
-    let outcomes = run_all_with_workers(vec![burst, recovery], workers);
+    let mut outcomes = run_all_with_workers(vec![burst, recovery], workers);
     assert_eq!(outcomes.len(), 2);
-    let checks = drain_sentinel();
-    assert_eq!(checks.len(), 2, "both scenarios must yield a check");
-    checks
+    let mut art = Artifacts::default();
+    art.take(&mut outcomes);
+    assert_eq!(art.checks.len(), 2, "both scenarios must yield a check");
+    art.checks
 }
 
 #[test]

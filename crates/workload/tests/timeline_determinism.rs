@@ -7,7 +7,7 @@ use beehive_chaos::{keyed, Fault, FaultPlan, Injector};
 use beehive_observatory::{ScenarioSeries, TimelineDoc};
 use beehive_sim::Duration;
 use beehive_workload::driver::{ArrivalPattern, Sim, SimConfig};
-use beehive_workload::engine::{drain_timelines, run_all_with_workers, Scenario};
+use beehive_workload::engine::{run_all_with_workers, Artifacts, Scenario};
 use beehive_workload::experiment::fig7::BurstExperiment;
 use beehive_workload::Strategy;
 
@@ -51,11 +51,16 @@ fn timelines_at(workers: usize) -> Vec<ScenarioSeries> {
         cfg.faults = plan;
         Scenario::new("recovery", cfg)
     };
-    let outcomes = run_all_with_workers(vec![burst, recovery], workers);
+    let mut outcomes = run_all_with_workers(vec![burst, recovery], workers);
     assert_eq!(outcomes.len(), 2);
-    let series = drain_timelines();
-    assert_eq!(series.len(), 2, "both scenarios must yield a timeline");
-    series
+    let mut art = Artifacts::default();
+    art.take(&mut outcomes);
+    assert_eq!(
+        art.timelines.len(),
+        2,
+        "both scenarios must yield a timeline"
+    );
+    art.timelines
 }
 
 #[test]

@@ -7,6 +7,7 @@
 //! ```
 
 use beehive::apps::AppKind;
+use beehive::workload::engine::Runner;
 use beehive::workload::experiment::{fig9::fig9, Profile};
 
 fn main() {
@@ -15,7 +16,7 @@ fn main() {
         Some("blog") => AppKind::Blog,
         _ => AppKind::Pybbs,
     };
-    let report = fig9(kind, Profile::quick());
+    let report = fig9(kind, &mut Runner::new(Profile::quick()));
     println!("{report}");
 
     let burstable = report.curve("Burstable");

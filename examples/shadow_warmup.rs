@@ -9,13 +9,15 @@
 //! ```
 
 use beehive::apps::AppKind;
+use beehive::workload::engine::Runner;
 use beehive::workload::experiment::breakdown::shadow_breakdown;
 use beehive::workload::experiment::Profile;
 
 fn main() {
     println!("Shadow execution — hiding the warmup (paper §3.4 / §5.6)\n");
+    let mut run = Runner::new(Profile::quick());
     for kind in AppKind::all() {
-        let r = shadow_breakdown(kind, Profile::quick());
+        let r = shadow_breakdown(kind, &mut run);
         println!("{r}");
     }
     println!(
